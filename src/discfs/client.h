@@ -46,7 +46,8 @@ class DiscfsClient {
       const std::string& host, uint16_t port, const ChannelIdentity& identity,
       const std::optional<DsaPublicKey>& expected_server);
 
-  // In-process variant over an arbitrary transport (tests, benchmarks).
+  // Same, over a caller-supplied stream already connected to a DiscfsHost
+  // (a shaped or instrumented link in the benchmarks).
   static Result<std::unique_ptr<DiscfsClient>> ConnectOver(
       std::unique_ptr<MsgStream> transport, const ChannelIdentity& identity,
       const std::optional<DsaPublicKey>& expected_server);

@@ -13,7 +13,7 @@ struct HandshakeReactor::Entry {
 
   uint64_t id = 0;  // disambiguates a reused fd number
   int fd = -1;
-  std::unique_ptr<MsgStream> transport;
+  std::unique_ptr<TcpTransport> transport;
   ServerHandshakeMachine machine;
   std::chrono::steady_clock::time_point started;
 
@@ -47,41 +47,9 @@ HandshakeReactor::HandshakeReactor(Options options,
 
 HandshakeReactor::~HandshakeReactor() { Shutdown(); }
 
-void HandshakeReactor::Begin(std::unique_ptr<MsgStream> transport) {
+void HandshakeReactor::Begin(std::unique_ptr<TcpTransport> transport) {
   std::shared_ptr<Core> core = core_;
   const int fd = transport->PollFd();
-  if (fd < 0) {
-    // No pollable fd (in-process transports, tests): run the blocking
-    // handshake on a worker, the pre-reactor way. The TCP host never
-    // takes this path.
-    auto shared = std::make_shared<std::unique_ptr<MsgStream>>(
-        std::move(transport));
-    {
-      std::lock_guard<std::mutex> lock(core->mu);
-      if (core->shutdown) {
-        return;
-      }
-      core->counters.started++;
-    }
-    core->opts.pool->Submit([core, shared] {
-      auto channel = SecureChannel::ServerHandshake(std::move(*shared),
-                                                    core->opts.identity);
-      {
-        std::lock_guard<std::mutex> lock(core->mu);
-        if (!channel.ok()) {
-          core->counters.failed++;
-          return;
-        }
-        if (core->shutdown) {
-          return;  // drop; the host is going away
-        }
-        core->counters.completed++;
-      }
-      core->on_established(std::move(*channel));
-    });
-    return;
-  }
-
   std::shared_ptr<Entry> evicted;
   uint64_t id = 0;
   {

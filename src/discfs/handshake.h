@@ -76,7 +76,7 @@ class HandshakeReactor {
   // handshake to completion, timeout, or eviction. Any-thread-safe (the
   // host calls it from the accept thread). Drops the transport once
   // Shutdown() has run.
-  void Begin(std::unique_ptr<MsgStream> transport);
+  void Begin(std::unique_ptr<TcpTransport> transport);
 
   // Tears down every half-open handshake and rejects future Begins. Safe
   // to call while workers are mid-step: they observe the flag and retire

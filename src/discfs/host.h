@@ -1,10 +1,11 @@
 // Hosting helpers: run a DisCFS server (secure channel) or a CFS-NE
 // baseline server (plain NFS, no credentials) on a TCP listener. There is
-// no thread per connection anywhere: one accept thread feeds new sockets
-// to the shared WorkerPool (which runs the blocking handshake), after
-// which every connection is served from one shared epoll EventLoop —
-// decode on readability, execute on the pool, reply through a bounded
-// per-connection send queue drained by the loop. Total runtime threads are
+// no thread per connection anywhere: one accept thread hands new sockets
+// to the HandshakeReactor, which drives each handshake on the shared epoll
+// EventLoop (crypto steps on the WorkerPool, no worker ever waiting on a
+// peer). Every established connection is then an RpcConnection on the
+// same loop — decode on readability, execute on the pool, reply through a
+// bounded per-connection send queue. Total runtime threads are
 // O(workers + 1 poller + 1 acceptor) no matter how many connections are
 // open, and an optional global admission bound busy-rejects new requests
 // once the pool's queue backs up.
@@ -205,7 +206,8 @@ class CfsNeHost {
 Result<std::unique_ptr<NfsClient>> ConnectCfsNe(const std::string& host,
                                                 uint16_t port);
 
-// Same, over a caller-supplied stream (in-proc transports, shaped links).
+// Same, over a caller-supplied stream already connected to a CfsNeHost
+// (a shaped or instrumented link).
 Result<std::unique_ptr<NfsClient>> ConnectCfsNeOver(
     std::unique_ptr<MsgStream> stream);
 

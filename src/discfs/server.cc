@@ -5,7 +5,6 @@
 
 #include "src/cluster/fabric.h"
 #include "src/cluster/protocol.h"
-#include "src/crypto/sysrand.h"
 #include "src/discfs/action_env.h"
 #include "src/discfs/credentials.h"
 #include "src/util/strings.h"
@@ -35,11 +34,7 @@ DiscfsServer::DiscfsServer(std::shared_ptr<Vfs> vfs,
       session_(keynote::PermissionLattice::Get()),
       cache_(config_.policy_cache_size, config_.policy_cache_ttl_s),
       revocation_(config_.revocation_horizon_s),
-      sig_cache_(config_.signature_cache_size) {
-  if (!config_.rand_bytes) {
-    config_.rand_bytes = [](size_t n) { return SysRandomBytes(n); };
-  }
-}
+      sig_cache_(config_.signature_cache_size) {}
 
 Result<std::unique_ptr<DiscfsServer>> DiscfsServer::Create(
     std::shared_ptr<Vfs> vfs, DiscfsServerConfig config) {
@@ -101,32 +96,6 @@ void DiscfsServer::ClassifyProcPriorities() {
   // Everything else (namespace mutation, lookup, credential-returning
   // CREATE/MKDIR, handle resolution, lockbox grants) keeps the default
   // middle tier, kNamespace.
-}
-
-Status DiscfsServer::ServeConnection(std::unique_ptr<MsgStream> transport) {
-  return ServeConnection(std::move(transport), ServeOptions{});
-}
-
-Status DiscfsServer::ServeConnection(std::unique_ptr<MsgStream> transport,
-                                     const ServeOptions& options) {
-  ChannelIdentity identity{config_.server_key, config_.rand_bytes};
-  ASSIGN_OR_RETURN(std::unique_ptr<SecureChannel> channel,
-                   SecureChannel::ServerHandshake(std::move(transport),
-                                                  identity));
-  RpcContext ctx;
-  ctx.peer_key = channel->peer_key();
-  dispatcher_.ServeConnection(*channel, ctx, options);
-  return OkStatus();
-}
-
-Result<std::shared_ptr<RpcConnection>> DiscfsServer::ServeOnLoop(
-    std::unique_ptr<MsgStream> transport, const RpcConnection::Options& options,
-    RpcConnection::ClosedFn on_closed) {
-  ChannelIdentity identity{config_.server_key, config_.rand_bytes};
-  ASSIGN_OR_RETURN(std::unique_ptr<SecureChannel> channel,
-                   SecureChannel::ServerHandshake(std::move(transport),
-                                                  identity));
-  return ServeChannelOnLoop(std::move(channel), options, std::move(on_closed));
 }
 
 Result<std::shared_ptr<RpcConnection>> DiscfsServer::ServeChannelOnLoop(

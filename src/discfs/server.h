@@ -58,7 +58,9 @@ struct DiscfsServerConfig {
   size_t signature_cache_size = 4096;
   int64_t revocation_horizon_s = 24 * 3600;
   const Clock* clock = nullptr;  // defaults to SystemClock
-  std::function<Bytes(size_t)> rand_bytes;  // defaults to SysRandomBytes
+  // Handshake randomness for the host's channels; defaults to
+  // SysRandomBytes.
+  std::function<Bytes(size_t)> rand_bytes;
   // Channel keys of peer DisCFS servers allowed to push coherence events
   // (the cluster RPC program rejects everyone else). Empty = this server
   // accepts no remote invalidations.
@@ -78,29 +80,9 @@ class DiscfsServer {
   static Result<std::unique_ptr<DiscfsServer>> Create(
       std::shared_ptr<Vfs> vfs, DiscfsServerConfig config);
 
-  // Performs the server handshake on a raw transport and serves RPCs until
-  // the peer disconnects. Blocking; run one thread per connection. Serial:
-  // each request is handled inline on the connection thread.
-  Status ServeConnection(std::unique_ptr<MsgStream> transport);
-
-  // Pipelined variant: requests are executed on options.pool and replies
-  // are written out of order, bounded by options.max_inflight_per_conn.
-  // Tests and benches pin concurrency through `options`.
-  Status ServeConnection(std::unique_ptr<MsgStream> transport,
-                         const ServeOptions& options);
-
-  // Event-driven variant: performs the (blocking) server handshake on the
-  // calling thread — hosts run it on a worker — then registers the
-  // authenticated channel on options.loop and returns the live connection.
-  // Serving continues entirely on the loop + pool.
-  Result<std::shared_ptr<RpcConnection>> ServeOnLoop(
-      std::unique_ptr<MsgStream> transport,
-      const RpcConnection::Options& options,
-      RpcConnection::ClosedFn on_closed = nullptr);
-
-  // Serves a channel whose handshake already completed elsewhere (the
-  // host's HandshakeReactor drives handshakes on the event loop; no
-  // worker ever blocks on a slow peer). Registers the channel on
+  // The one serving entry point: serves a channel whose handshake already
+  // completed (the host's HandshakeReactor drives handshakes on the event
+  // loop; no worker ever blocks on a slow peer). Registers the channel on
   // options.loop and returns the live connection.
   Result<std::shared_ptr<RpcConnection>> ServeChannelOnLoop(
       std::unique_ptr<SecureChannel> channel,

@@ -26,6 +26,10 @@ class ShapedStream : public MsgStream {
   Status Send(const Bytes& message) override;
   Result<Bytes> Recv() override;
   void Close() override { inner_->Close(); }
+  // Forwarded, not the Close default: RpcClient::Close shuts the stream
+  // down while its demux thread may still be in the inner Recv, which must
+  // not race a close(2) and fd reuse.
+  void Shutdown() override { inner_->Shutdown(); }
 
  private:
   void Delay(size_t bytes) const;

@@ -11,10 +11,9 @@
 
 #include <cerrno>
 #include <chrono>
-#include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
-#include <deque>
-#include <mutex>
 
 #include "src/util/strings.h"
 
@@ -404,53 +403,17 @@ void TcpListener::Close() {
 
 // ----------------------------------------------------------------- in-proc
 
-struct InProcTransport::Queue {
-  std::mutex mu;
-  std::condition_variable cv;
-  std::deque<Bytes> messages;
-  bool closed = false;
-};
-
 InProcTransport::Pair InProcTransport::CreatePair() {
-  auto q1 = std::make_shared<Queue>();
-  auto q2 = std::make_shared<Queue>();
+  int fds[2];
+  if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds) != 0) {
+    std::fprintf(stderr, "InProcTransport: socketpair failed: %s\n",
+                 strerror(errno));
+    std::abort();
+  }
   Pair pair;
-  pair.a = std::unique_ptr<InProcTransport>(new InProcTransport(q1, q2));
-  pair.b = std::unique_ptr<InProcTransport>(new InProcTransport(q2, q1));
+  pair.a = std::make_unique<TcpTransport>(fds[0]);
+  pair.b = std::make_unique<TcpTransport>(fds[1]);
   return pair;
-}
-
-InProcTransport::~InProcTransport() { Close(); }
-
-Status InProcTransport::Send(const Bytes& message) {
-  std::lock_guard<std::mutex> lock(tx_->mu);
-  if (tx_->closed) {
-    return UnavailableError("transport closed");
-  }
-  tx_->messages.push_back(message);
-  tx_->cv.notify_one();
-  return OkStatus();
-}
-
-Result<Bytes> InProcTransport::Recv() {
-  std::unique_lock<std::mutex> lock(rx_->mu);
-  rx_->cv.wait(lock, [this] { return !rx_->messages.empty() || rx_->closed; });
-  if (rx_->messages.empty()) {
-    return UnavailableError("peer closed");
-  }
-  Bytes out = std::move(rx_->messages.front());
-  rx_->messages.pop_front();
-  return out;
-}
-
-void InProcTransport::Close() {
-  for (const auto& q : {tx_, rx_}) {
-    if (q != nullptr) {
-      std::lock_guard<std::mutex> lock(q->mu);
-      q->closed = true;
-      q->cv.notify_all();
-    }
-  }
 }
 
 }  // namespace discfs

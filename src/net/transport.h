@@ -1,10 +1,11 @@
 // Message-oriented reliable byte transports.
 //
 // MsgStream is the interface the RPC layer speaks: whole-message send and
-// blocking receive. Transports (TCP, in-process pipe) implement it directly;
-// SecureChannel wraps any transport and also implements it, so swapping
-// "plain NFS" (CFS-NE baseline) for "NFS over IPsec" (DisCFS) is a one-line
-// change in the stack — matching the paper's layering.
+// blocking receive. TcpTransport implements it directly, over TCP or, for
+// in-process peers, over one end of a socketpair. SecureChannel wraps any
+// transport and also implements it, so swapping "plain NFS" (CFS-NE
+// baseline) for "NFS over IPsec" (DisCFS) is a one-line change in the
+// stack — matching the paper's layering.
 //
 // Threading contract: one thread may sit in Recv while another thread calls
 // Send — the RPC demux loop depends on that split. Shutdown may be called
@@ -49,8 +50,9 @@ class MsgStream {
   virtual void Shutdown() { Close(); }
 
   // --- non-blocking face (event-loop integration) ---
-  // Kernel fd to poll for readiness, or -1 when the stream has none
-  // (in-process transports); callers fall back to blocking threads then.
+  // Kernel fd to poll for readiness, or -1 when the stream hides it (the
+  // link shaper, timing wrappers, test doubles). Server connections
+  // require one; an RpcClient over such a stream demuxes on a thread.
   virtual int PollFd() const { return -1; }
   // Never blocks. Returns a complete message when one can be assembled
   // from buffered + immediately-available bytes, std::nullopt when the
@@ -139,29 +141,20 @@ class TcpListener {
   uint16_t port_ = 0;
 };
 
-// In-process transport pair (lock-step queues). Used in unit tests and
-// single-process benchmarks where socket latency is not under study.
-class InProcTransport : public MsgStream {
- public:
+// In-process transport pair: the two ends of one AF_UNIX stream
+// socketpair, each a TcpTransport. In-process peers (unit tests, the
+// benchmark's channel replay) get the same framing, pollable fd and
+// non-blocking face as a TCP connection, so they are served by the same
+// loop-driven runtime. The kernel buffers a bounded amount per direction:
+// a single thread may send a few hundred KiB ahead of its own Recv, not
+// an unbounded backlog.
+struct InProcTransport {
   struct Pair {
-    std::unique_ptr<InProcTransport> a;
-    std::unique_ptr<InProcTransport> b;
+    std::unique_ptr<TcpTransport> a;
+    std::unique_ptr<TcpTransport> b;
   };
+  // Aborts when socketpair(2) fails (descriptor exhaustion).
   static Pair CreatePair();
-
-  ~InProcTransport() override;
-
-  Status Send(const Bytes& message) override;
-  Result<Bytes> Recv() override;
-  void Close() override;
-
- private:
-  struct Queue;
-  InProcTransport(std::shared_ptr<Queue> tx, std::shared_ptr<Queue> rx)
-      : tx_(std::move(tx)), rx_(std::move(rx)) {}
-
-  std::shared_ptr<Queue> tx_;
-  std::shared_ptr<Queue> rx_;
 };
 
 }  // namespace discfs

@@ -389,81 +389,6 @@ Result<Bytes> RpcDispatcher::Dispatch(uint32_t prog, uint32_t proc,
   return it->second(args, ctx);
 }
 
-Status RpcDispatcher::ServeOne(MsgStream& stream,
-                               const RpcContext& ctx) const {
-  ASSIGN_OR_RETURN(Bytes frame, stream.Recv());
-  ASSIGN_OR_RETURN(DecodedCall call, DecodeCall(frame));
-  return stream.Send(EncodeReply(call.xid, DispatchTraced(*this, call, ctx)));
-}
-
-void RpcDispatcher::ServeConnection(MsgStream& stream,
-                                    const RpcContext& ctx) const {
-  while (true) {
-    Status st = ServeOne(stream, ctx);
-    if (!st.ok()) {
-      return;  // peer went away (or stream corrupted); connection is done
-    }
-  }
-}
-
-void RpcDispatcher::ServeConnection(MsgStream& stream, const RpcContext& ctx,
-                                    const ServeOptions& options) const {
-  if (options.pool == nullptr) {
-    ServeConnection(stream, ctx);
-    return;
-  }
-
-  // Shared by the recv loop (this thread) and the pool tasks. Reference
-  // counted: a worker's final notify may run concurrently with this
-  // function returning, so the last task to finish frees the block.
-  // `stream` and `ctx` stay stack-borrowed — the drain wait below keeps
-  // them valid until every worker has written its reply.
-  struct ConnState {
-    std::mutex mu;
-    std::condition_variable cv;
-    size_t inflight = 0;
-    std::mutex write_mu;  // one reply frame on the wire at a time
-  };
-  auto state = std::make_shared<ConnState>();
-  const size_t max_inflight =
-      options.max_inflight_per_conn > 0 ? options.max_inflight_per_conn : 1;
-
-  while (true) {
-    Result<Bytes> frame = stream.Recv();
-    if (!frame.ok()) {
-      break;  // peer went away
-    }
-    Result<DecodedCall> call = DecodeCall(*frame);
-    if (!call.ok()) {
-      break;  // framing is corrupt; stop reading, drain, hang up
-    }
-    {
-      std::unique_lock<std::mutex> lock(state->mu);
-      state->cv.wait(lock,
-                     [&] { return state->inflight < max_inflight; });
-      ++state->inflight;
-    }
-    options.pool->Submit([this, &stream, &ctx, state,
-                          call = std::move(*call)] {
-      Bytes reply = EncodeReply(call.xid, DispatchTraced(*this, call, ctx));
-      {
-        std::lock_guard<std::mutex> write_lock(state->write_mu);
-        (void)stream.Send(reply);  // peer may already be gone; that's fine
-      }
-      {
-        std::lock_guard<std::mutex> lock(state->mu);
-        --state->inflight;
-      }
-      state->cv.notify_all();
-    });
-  }
-
-  // Every accepted request holds a slot until its reply is written; wait
-  // for them so `stream` and `ctx` stay valid for the workers.
-  std::unique_lock<std::mutex> lock(state->mu);
-  state->cv.wait(lock, [&] { return state->inflight == 0; });
-}
-
 // --------------------------------------------------- event-driven serving
 
 RpcConnection::RpcConnection(const RpcDispatcher* dispatcher,
@@ -493,8 +418,7 @@ Result<std::shared_ptr<RpcConnection>> RpcConnection::Start(
   }
   int fd = stream->PollFd();
   if (fd < 0) {
-    return InvalidArgumentError(
-        "stream has no pollable fd; use ServeConnection on a thread");
+    return InvalidArgumentError("stream has no pollable fd");
   }
   auto conn = std::shared_ptr<RpcConnection>(
       new RpcConnection(dispatcher, std::move(stream), std::move(ctx),

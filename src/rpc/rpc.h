@@ -9,17 +9,17 @@
 // Client side: RpcClient matches replies to calls by xid, so any number of
 // calls can be in flight on one stream (CallAsync); the blocking Call is a
 // one-deep special case. Demux runs either on a dedicated thread per client
-// (the default, and the only option for fd-less streams) or — when an
-// EventLoop is supplied — as a readability callback on a shared poller, so
-// a proxy holding thousands of upstream connections needs one thread, not
-// thousands.
+// (the default, and the only option for streams that hide their fd, such
+// as the link shaper) or — when an EventLoop is supplied — as a
+// readability callback on a shared poller, so a proxy holding thousands of
+// upstream connections needs one thread, not thousands.
 //
-// Server side: RpcDispatcher::ServeConnection hands decoded requests to a
-// shared WorkerPool from a per-connection recv thread (PR 2), and
-// RpcConnection serves a stream entirely from an EventLoop: decode on
-// readability, execute on the pool, and reply through a bounded
-// per-connection send queue drained by a single writer (the loop), with an
-// optional global admission bound that busy-rejects when the pool backs up.
+// Server side: RpcConnection is the one server runtime. It serves a
+// pollable stream entirely from an EventLoop: decode on readability,
+// execute on a shared WorkerPool, and reply through a bounded
+// per-connection send queue drained by a single writer, with an optional
+// global admission bound that busy-rejects when the pool backs up.
+// RpcDispatcher only holds the handler table.
 #ifndef DISCFS_SRC_RPC_RPC_H_
 #define DISCFS_SRC_RPC_RPC_H_
 
@@ -60,10 +60,10 @@ struct RpcContext {
 class RpcClient {
  public:
   // Takes ownership of the stream (plain transport or secure channel).
-  // With `loop` null (or a stream that has no pollable fd), replies are
-  // demuxed on a dedicated receive thread. With a loop and a pollable
-  // stream, the client registers on the shared poller instead — N clients,
-  // one thread.
+  // With `loop` null (or a stream that hides its fd, like ShapedStream),
+  // replies are demuxed on a dedicated receive thread. With a loop and a
+  // pollable stream, the client registers on the shared poller instead —
+  // N clients, one thread.
   explicit RpcClient(std::unique_ptr<MsgStream> stream,
                      EventLoop* loop = nullptr);
   ~RpcClient();
@@ -150,16 +150,6 @@ class RpcClient {
   std::thread deadline_thread_;    // guarded by deadline_mu_ (lazy start)
 };
 
-// How ServeConnection schedules handler execution.
-struct ServeOptions {
-  // Shared execution pool. When null, requests are handled inline on the
-  // connection thread (the pre-pipelining behavior).
-  WorkerPool* pool = nullptr;
-  // Backpressure: the connection stops reading new requests while this many
-  // are being executed or awaiting their reply write.
-  size_t max_inflight_per_conn = 64;
-};
-
 // RPC call frames may carry an optional trailer after the opaque args:
 //   u32 kRpcTraceMagic | u32 version | u64 trace_id [| u32 deadline_ms]
 // Version 1 carries the trace id only; version 2 appends the caller's
@@ -198,21 +188,7 @@ class RpcDispatcher {
   void SetPriority(uint32_t prog, uint32_t proc, RpcPriority priority);
   RpcPriority PriorityOf(uint32_t prog, uint32_t proc) const;
 
-  // Serves one request from the stream (recv, dispatch, reply). Returns
-  // UNAVAILABLE when the peer disconnects.
-  Status ServeOne(MsgStream& stream, const RpcContext& ctx) const;
-
-  // Serves until the peer disconnects, one request at a time.
-  void ServeConnection(MsgStream& stream, const RpcContext& ctx) const;
-
-  // Pipelined variant: decodes requests on this thread, executes them on
-  // options.pool (inline when null), and writes replies as they complete —
-  // out of order — under a per-connection write lock. Returns only after
-  // every accepted request has been answered (or its reply write failed).
-  void ServeConnection(MsgStream& stream, const RpcContext& ctx,
-                       const ServeOptions& options) const;
-
-  // Dispatches one decoded request (shared with RpcConnection).
+  // Dispatches one decoded request (RpcConnection calls this).
   Result<Bytes> Dispatch(uint32_t prog, uint32_t proc, const Bytes& args,
                          const RpcContext& ctx) const;
 

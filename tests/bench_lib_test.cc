@@ -184,6 +184,31 @@ TEST(Shaper, FixedLatencyApplied) {
   EXPECT_GE(elapsed, 0.004);
 }
 
+// Counts which teardown call reaches the wrapped stream.
+class TeardownRecorder : public MsgStream {
+ public:
+  Status Send(const Bytes&) override { return OkStatus(); }
+  Result<Bytes> Recv() override { return UnavailableError("no data"); }
+  void Close() override { ++closes; }
+  void Shutdown() override { ++shutdowns; }
+
+  int closes = 0;
+  int shutdowns = 0;
+};
+
+// RpcClient::Close shuts its stream down while the demux thread may be in
+// the inner Recv; a shaped link must not turn that into a close(2).
+TEST(Shaper, ShutdownForwardsWithoutClosing) {
+  auto inner = std::make_unique<TeardownRecorder>();
+  TeardownRecorder* recorder = inner.get();
+  ShapedStream shaped(std::move(inner), LinkModel{0, 0});
+  shaped.Shutdown();
+  EXPECT_EQ(recorder->shutdowns, 1);
+  EXPECT_EQ(recorder->closes, 0);
+  shaped.Close();
+  EXPECT_EQ(recorder->closes, 1);
+}
+
 TEST(Shaper, EnvParsing) {
   setenv("DISCFS_LINK_MBPS", "42.5", 1);
   setenv("DISCFS_LINK_LATENCY_US", "77", 1);

@@ -5,12 +5,14 @@
 #include "src/nfs/nfs_client.h"
 #include "src/nfs/nfs_server.h"
 #include "src/util/prng.h"
+#include "tests/loop_server.h"
 
 namespace discfs {
 namespace {
 
-// NFS client/server joined by an in-process transport: exercises every
-// procedure through the full XDR + RPC path.
+// NFS client/server joined by an in-process socketpair, the server side
+// an RpcConnection on an EventLoop + WorkerPool: exercises every procedure
+// through the full XDR + RPC path the hosts serve.
 class NfsE2E : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -22,17 +24,14 @@ class NfsE2E : public ::testing::Test {
     server_->RegisterAll(dispatcher_);
 
     auto pair = InProcTransport::CreatePair();
-    server_thread_ = std::thread([this, b = std::move(pair.b)]() mutable {
-      RpcContext ctx;
-      dispatcher_.ServeConnection(*b, ctx);
-    });
+    loop_server_ = std::make_unique<LoopServer>(dispatcher_, std::move(pair.b));
     rpc_ = std::make_shared<RpcClient>(std::move(pair.a));
     client_ = std::make_unique<NfsClient>(rpc_);
   }
 
   void TearDown() override {
     rpc_->Close();
-    server_thread_.join();
+    EXPECT_TRUE(loop_server_->WaitClosed());
   }
 
   NfsFh Root() {
@@ -46,7 +45,7 @@ class NfsE2E : public ::testing::Test {
   RpcDispatcher dispatcher_;
   std::shared_ptr<RpcClient> rpc_;
   std::unique_ptr<NfsClient> client_;
-  std::thread server_thread_;
+  std::unique_ptr<LoopServer> loop_server_;
 };
 
 TEST_F(NfsE2E, NullProcedure) {
@@ -228,10 +227,7 @@ TEST(NfsAccessHook, ReadOnlyPolicy) {
   server.RegisterAll(dispatcher);
 
   auto pair = InProcTransport::CreatePair();
-  std::thread server_thread([&dispatcher, b = std::move(pair.b)]() mutable {
-    RpcContext ctx;
-    dispatcher.ServeConnection(*b, ctx);
-  });
+  LoopServer loop_server(dispatcher, std::move(pair.b));
   auto rpc = std::make_shared<RpcClient>(std::move(pair.a));
   NfsClient client(rpc);
 
@@ -245,7 +241,7 @@ TEST(NfsAccessHook, ReadOnlyPolicy) {
   EXPECT_EQ(client.Create(root->fh, "new", 0644).status().code(),
             StatusCode::kPermissionDenied);
   rpc->Close();
-  server_thread.join();
+  EXPECT_TRUE(loop_server.WaitClosed());
 }
 
 // Parameterized sweep: read/write round trips at many offsets and sizes

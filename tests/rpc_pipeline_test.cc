@@ -20,6 +20,7 @@
 #include "src/securechannel/channel.h"
 #include "src/util/prng.h"
 #include "src/util/worker_pool.h"
+#include "tests/loop_server.h"
 
 namespace discfs {
 namespace {
@@ -183,14 +184,8 @@ TEST(RpcPipeline, CallAsyncDemuxesOutOfOrderReplies) {
     return Bytes{static_cast<uint8_t>(id), static_cast<uint8_t>(id * 2 + 1)};
   });
 
-  WorkerPool pool(kCalls);
-  ServeOptions options;
-  options.pool = &pool;
-  options.max_inflight_per_conn = kCalls;
-  std::thread server([&] {
-    RpcContext ctx;
-    dispatcher.ServeConnection(*pair.server, ctx, options);
-  });
+  static_assert(kCalls <= LoopServer::kWorkers, "handlers must overlap");
+  LoopServer server(dispatcher, std::move(pair.server));
 
   RpcClient client(std::move(pair.client));
   std::vector<std::future<Result<Bytes>>> futures;
@@ -208,7 +203,7 @@ TEST(RpcPipeline, CallAsyncDemuxesOutOfOrderReplies) {
   }
   EXPECT_EQ(client.inflight(), 0u);
   client.Close();
-  server.join();
+  EXPECT_TRUE(server.WaitClosed());
 }
 
 // Concurrent blocking Calls share one connection and pipeline through it.
@@ -220,13 +215,7 @@ TEST(RpcPipeline, ConcurrentBlockingCallsShareOneConnection) {
     std::reverse(out.begin(), out.end());
     return Result<Bytes>(out);
   });
-  WorkerPool pool(4);
-  ServeOptions options;
-  options.pool = &pool;
-  std::thread server([&] {
-    RpcContext ctx;
-    dispatcher.ServeConnection(*transports.b, ctx, options);
-  });
+  LoopServer server(dispatcher, std::move(transports.b));
 
   RpcClient client(std::move(transports.a));
   constexpr int kThreads = 8;
@@ -250,7 +239,7 @@ TEST(RpcPipeline, ConcurrentBlockingCallsShareOneConnection) {
   }
   EXPECT_EQ(failures.load(), 0);
   client.Close();
-  server.join();
+  EXPECT_TRUE(server.WaitClosed());
 }
 
 // Close during an in-flight call resolves the call promptly with an error
@@ -272,13 +261,7 @@ TEST(RpcPipeline, CloseDuringInflightCallFailsFast) {
     cv.wait_for(lock, 10s, [&] { return release_handler; });
     return Bytes();
   });
-  WorkerPool pool(2);
-  ServeOptions options;
-  options.pool = &pool;
-  std::thread server([&] {
-    RpcContext ctx;
-    dispatcher.ServeConnection(*transports.b, ctx, options);
-  });
+  LoopServer server(dispatcher, std::move(transports.b));
 
   RpcClient client(std::move(transports.a));
   std::future<Result<Bytes>> future = client.CallAsync(1, 1, Bytes());
@@ -298,7 +281,9 @@ TEST(RpcPipeline, CloseDuringInflightCallFailsFast) {
     release_handler = true;
   }
   cv.notify_all();
-  server.join();
+  // The released handler's reply has no reader; the connection still
+  // winds down on its own.
+  EXPECT_TRUE(server.WaitClosed());
 }
 
 // ----- host: shared pool + connection-thread reaping -----

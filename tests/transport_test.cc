@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <poll.h>
+
+#include <atomic>
 #include <thread>
 
 #include "src/crypto/groups.h"
@@ -9,6 +12,7 @@
 #include "src/securechannel/replay_window.h"
 #include "src/util/prng.h"
 #include "src/wire/xdr.h"
+#include "tests/loop_server.h"
 
 namespace discfs {
 namespace {
@@ -334,7 +338,45 @@ TEST_F(SecureChannelTest, ManyMessagesBothDirections) {
   }
 }
 
+// One message through the event-loop face: SendNonBlocking on `from`,
+// readiness on `to`'s fd, then TryRecv until drained.
+void ExpectNonBlockingRoundTrip(MsgStream& from, MsgStream& to,
+                                const std::string& text) {
+  ASSERT_GE(from.PollFd(), 0);
+  ASSERT_GE(to.PollFd(), 0);
+  auto sent = from.SendNonBlocking(ToBytes(text));
+  ASSERT_TRUE(sent.ok()) << sent.status();
+  EXPECT_TRUE(*sent);  // a small frame fits the socket buffer at once
+  pollfd pfd{to.PollFd(), POLLIN, 0};
+  ASSERT_EQ(::poll(&pfd, 1, 5000), 1);
+  auto got = to.TryRecv();
+  ASSERT_TRUE(got.ok()) << got.status();
+  ASSERT_TRUE(got->has_value());
+  EXPECT_EQ(ToString(**got), text);
+  auto drained = to.TryRecv();
+  ASSERT_TRUE(drained.ok()) << drained.status();
+  EXPECT_FALSE(drained->has_value());
+}
+
+// The in-process pair is a socketpair, so both its bare ends and a
+// SecureChannel over them can be served from an event loop.
+TEST_F(SecureChannelTest, InProcPairIsPollableBareAndSecured) {
+  auto bare = InProcTransport::CreatePair();
+  ExpectNonBlockingRoundTrip(*bare.a, *bare.b, "ping");
+  ExpectNonBlockingRoundTrip(*bare.b, *bare.a, "pong");
+
+  auto secured = Handshake(std::nullopt);
+  ASSERT_TRUE(secured.ok()) << secured.status();
+  ExpectNonBlockingRoundTrip(*secured->client, *secured->server, "sealed ping");
+  ExpectNonBlockingRoundTrip(*secured->server, *secured->client, "sealed pong");
+}
+
 // ----- RPC -----
+//
+// Every server below is an RpcConnection on an EventLoop + WorkerPool
+// (LoopServer), the runtime the hosts use; the client demuxes on its own
+// thread. After the client closes, the connection must wind down by
+// itself.
 
 TEST(Rpc, CallOverInProc) {
   auto pair = InProcTransport::CreatePair();
@@ -344,16 +386,13 @@ TEST(Rpc, CallOverInProc) {
     std::reverse(out.begin(), out.end());
     return Result<Bytes>(out);
   });
-  std::thread server([&] {
-    RpcContext ctx;
-    dispatcher.ServeConnection(*pair.b, ctx);
-  });
+  LoopServer server(dispatcher, std::move(pair.b));
   RpcClient client(std::move(pair.a));
   auto result = client.Call(1, 7, ToBytes("abc"));
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(ToString(*result), "cba");
   client.Close();
-  server.join();
+  EXPECT_TRUE(server.WaitClosed());
 }
 
 TEST(Rpc, ServerErrorPropagatesCodeAndMessage) {
@@ -362,46 +401,36 @@ TEST(Rpc, ServerErrorPropagatesCodeAndMessage) {
   dispatcher.Register(1, 1, [](const Bytes&, const RpcContext&) {
     return Result<Bytes>(PermissionDeniedError("no credential for handle 42"));
   });
-  std::thread server([&] {
-    RpcContext ctx;
-    dispatcher.ServeConnection(*pair.b, ctx);
-  });
+  LoopServer server(dispatcher, std::move(pair.b));
   RpcClient client(std::move(pair.a));
   auto result = client.Call(1, 1, {});
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kPermissionDenied);
   EXPECT_EQ(result.status().message(), "no credential for handle 42");
   client.Close();
-  server.join();
+  EXPECT_TRUE(server.WaitClosed());
 }
 
 TEST(Rpc, UnknownProcedureRejected) {
   auto pair = InProcTransport::CreatePair();
   RpcDispatcher dispatcher;
-  std::thread server([&] {
-    RpcContext ctx;
-    dispatcher.ServeConnection(*pair.b, ctx);
-  });
+  LoopServer server(dispatcher, std::move(pair.b));
   RpcClient client(std::move(pair.a));
   auto result = client.Call(9, 9, {});
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kUnimplemented);
   client.Close();
-  server.join();
+  EXPECT_TRUE(server.WaitClosed());
 }
 
 TEST(Rpc, SequentialCallsIncrementXid) {
   auto pair = InProcTransport::CreatePair();
   RpcDispatcher dispatcher;
-  int calls = 0;
+  std::atomic<int> calls{0};
   dispatcher.Register(1, 2, [&calls](const Bytes&, const RpcContext&) {
-    ++calls;
-    return Result<Bytes>(Bytes{static_cast<uint8_t>(calls)});
+    return Result<Bytes>(Bytes{static_cast<uint8_t>(++calls)});
   });
-  std::thread server([&] {
-    RpcContext ctx;
-    dispatcher.ServeConnection(*pair.b, ctx);
-  });
+  LoopServer server(dispatcher, std::move(pair.b));
   RpcClient client(std::move(pair.a));
   for (int i = 1; i <= 10; ++i) {
     auto result = client.Call(1, 2, {});
@@ -409,7 +438,7 @@ TEST(Rpc, SequentialCallsIncrementXid) {
     EXPECT_EQ((*result)[0], i);
   }
   client.Close();
-  server.join();
+  EXPECT_TRUE(server.WaitClosed());
 }
 
 TEST(Rpc, OverSecureChannelCarriesPeerKey) {
@@ -427,24 +456,27 @@ TEST(Rpc, OverSecureChannelCarriesPeerKey) {
     return Result<Bytes>(ToBytes(ctx.peer_key->KeyId()));
   });
 
-  std::thread server([&] {
-    auto chan =
+  Result<std::unique_ptr<SecureChannel>> server_chan =
+      UnavailableError("not run");
+  std::thread handshake([&] {
+    server_chan =
         SecureChannel::ServerHandshake(std::move(transports.b), server_id);
-    ASSERT_TRUE(chan.ok());
-    RpcContext ctx;
-    ctx.peer_key = (*chan)->peer_key();
-    dispatcher.ServeConnection(**chan, ctx);
   });
-
   auto chan = SecureChannel::ClientHandshake(std::move(transports.a),
                                              client_id, std::nullopt);
-  ASSERT_TRUE(chan.ok());
+  handshake.join();
+  ASSERT_TRUE(chan.ok()) << chan.status();
+  ASSERT_TRUE(server_chan.ok()) << server_chan.status();
+
+  RpcContext ctx;
+  ctx.peer_key = (*server_chan)->peer_key();
+  LoopServer server(dispatcher, std::move(server_chan).value(), ctx);
   RpcClient client(std::move(chan).value());
   auto result = client.Call(1, 1, {});
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(ToString(*result), client_key.public_key().KeyId());
   client.Close();
-  server.join();
+  EXPECT_TRUE(server.WaitClosed());
 }
 
 }  // namespace
