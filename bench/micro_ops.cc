@@ -165,7 +165,8 @@ void BenchKeyNoteChain(size_t chain_len) {
     }
   }
   keynote::ComplianceQuery query;
-  query.attributes = {{"app_domain", "DisCFS"}, {"HANDLE", "666240"}};
+  query.attributes = {{"app_domain", "DisCFS"},
+                      {keynote::kHandleAttribute, "666240"}};
   query.action_authorizers = {keys[chain_len].public_key().ToKeyNoteString()};
   std::string name = "keynote_query_chain_" + std::to_string(chain_len);
   Report(name.c_str(), Measure([&] {
@@ -173,10 +174,10 @@ void BenchKeyNoteChain(size_t chain_len) {
          }));
 }
 
-// Compliance-check cost as the persistent session accumulates unrelated
-// credentials: the checker evaluates every assertion's conditions per
-// query, so cold queries are O(session size). This is why the policy
-// cache matters beyond amortizing a single evaluation.
+// Compliance-check cost as the persistent session accumulates credentials
+// for other handles. Each is pinned to its own HANDLE, so however many
+// there are, the indexed slice holds only POLICY and the queried handle's
+// credential.
 void BenchKeyNoteSessionSize(size_t n_creds) {
   auto rand = BenchRand(21);
   DsaPrivateKey admin = DsaPrivateKey::Generate(Dsa512(), rand);
@@ -200,7 +201,8 @@ void BenchKeyNoteSessionSize(size_t n_creds) {
     }
   }
   keynote::ComplianceQuery query;
-  query.attributes = {{"app_domain", "DisCFS"}, {"HANDLE", "1000"}};
+  query.attributes = {{"app_domain", "DisCFS"},
+                      {keynote::kHandleAttribute, "1000"}};
   query.action_authorizers = {user.public_key().ToKeyNoteString()};
   std::string name = "keynote_query_session_" + std::to_string(n_creds);
   Report(name.c_str(), Measure([&] {

@@ -78,7 +78,7 @@ uint32_t HandleOf(size_t i) { return static_cast<uint32_t>(1000 + i); }
 ComplianceQuery AccessQuery(const std::string& principal, uint32_t inode) {
   ComplianceQuery query;
   query.attributes = {{"app_domain", "DisCFS"},
-                      {"HANDLE", std::to_string(inode)},
+                      {keynote::kHandleAttribute, std::to_string(inode)},
                       {"operation", "access"}};
   query.action_authorizers = {principal};
   return query;

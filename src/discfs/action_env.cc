@@ -1,5 +1,6 @@
 #include "src/discfs/action_env.h"
 
+#include "src/keynote/compliance.h"
 #include "src/keynote/lattice.h"
 #include "src/util/strings.h"
 
@@ -54,7 +55,7 @@ keynote::AttributeMap BuildActionEnv(NfsProc proc, uint32_t inode,
                                      const Clock& clock) {
   keynote::AttributeMap env;
   env["app_domain"] = kAppDomain;
-  env["HANDLE"] = HandleString(inode);
+  env[keynote::kHandleAttribute] = HandleString(inode);
   env["operation"] = NfsProcName(proc);
   env["perm_needed"] = keynote::PermissionLattice::Get().Name(needed_mask);
 

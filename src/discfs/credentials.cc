@@ -1,6 +1,7 @@
 #include "src/discfs/credentials.h"
 
 #include "src/discfs/action_env.h"
+#include "src/keynote/compliance.h"
 
 namespace discfs {
 
@@ -8,7 +9,8 @@ std::string BuildConditions(const std::string& handle,
                             const CredentialOptions& options) {
   std::string cond = "(app_domain == \"" + std::string(kAppDomain) + "\")";
   if (!handle.empty()) {
-    cond += " && (HANDLE == \"" + handle + "\")";
+    cond += " && (" + std::string(keynote::kHandleAttribute) + " == \"" +
+            handle + "\")";
   }
   if (options.expires_at.has_value()) {
     cond += " && (timestamp < \"" + *options.expires_at + "\")";

@@ -119,7 +119,7 @@ Status DiscfsServer::CheckAccess(const NfsAccessRequest& request) {
   }
   std::string principal = request.ctx->peer_key->ToKeyNoteString();
 
-  std::shared_lock<std::shared_mutex> lock(mu_);
+  std::shared_lock<WriterPreferringMutex> lock(mu_);
   if (revocation_.IsKeyRevoked(principal, clock_->NowUnix())) {
     counters_.denials.fetch_add(1, std::memory_order_relaxed);
     return PermissionDeniedError("key has been revoked");
@@ -161,12 +161,12 @@ uint32_t DiscfsServer::QueryMaskLocked(const std::string& principal,
 
 uint32_t DiscfsServer::EffectiveMask(const std::string& principal,
                                      uint32_t inode) {
-  std::shared_lock<std::shared_mutex> lock(mu_);
+  std::shared_lock<WriterPreferringMutex> lock(mu_);
   return QueryMaskLocked(principal, inode);
 }
 
 Status DiscfsServer::AddPolicyAssertion(const std::string& text) {
-  std::lock_guard<std::shared_mutex> lock(mu_);
+  std::lock_guard<WriterPreferringMutex> lock(mu_);
   RETURN_IF_ERROR(session_.AddPolicyAssertion(text));
   cache_.InvalidateAll();  // policy roots affect every principal
   cluster::CoherenceEvent event;
@@ -224,7 +224,7 @@ Result<std::string> DiscfsServer::SubmitCredential(const std::string& text) {
   ASSIGN_OR_RETURN(keynote::Assertion assertion,
                    keynote::KeyNoteSession::ParseAndVerifyCredential(
                        text, &sig_cache_));
-  std::lock_guard<std::shared_mutex> lock(mu_);
+  std::lock_guard<WriterPreferringMutex> lock(mu_);
   return InstallCredentialLocked(std::move(assertion));
 }
 
@@ -284,7 +284,7 @@ std::vector<Result<std::string>> DiscfsServer::SubmitCredentials(
   // One exclusive acquisition installs the whole batch.
   std::vector<Result<std::string>> results;
   results.reserve(n);
-  std::lock_guard<std::shared_mutex> lock(mu_);
+  std::lock_guard<WriterPreferringMutex> lock(mu_);
   for (auto& v : verified) {
     if (v.ok()) {
       results.push_back(InstallCredentialLocked(std::move(v).value()));
@@ -298,7 +298,7 @@ std::vector<Result<std::string>> DiscfsServer::SubmitCredentials(
 void DiscfsServer::SetVerifyPool(WorkerPool* pool) { verify_pool_ = pool; }
 
 Status DiscfsServer::RemoveCredential(const std::string& credential_id) {
-  std::lock_guard<std::shared_mutex> lock(mu_);
+  std::lock_guard<WriterPreferringMutex> lock(mu_);
   revocation_.RevokeCredential(credential_id, clock_->NowUnix(),
                                obs::CurrentTraceId());
   // Compute the closure while the chain is still known (empty when the
@@ -315,7 +315,7 @@ Status DiscfsServer::RemoveCredential(const std::string& credential_id) {
 }
 
 void DiscfsServer::RevokeKey(const std::string& principal) {
-  std::lock_guard<std::shared_mutex> lock(mu_);
+  std::lock_guard<WriterPreferringMutex> lock(mu_);
   int64_t now = clock_->NowUnix();
   uint64_t trace = obs::CurrentTraceId();
   revocation_.RevokeKey(principal, now, trace);
@@ -341,7 +341,7 @@ void DiscfsServer::RevokeKey(const std::string& principal) {
 }
 
 void DiscfsServer::ResetTelemetry() {
-  std::lock_guard<std::shared_mutex> lock(mu_);
+  std::lock_guard<WriterPreferringMutex> lock(mu_);
   cache_.ResetStats();
   sig_cache_.ResetStats();
   counters_.keynote_queries.store(0, std::memory_order_relaxed);
@@ -355,7 +355,7 @@ DiscfsServer::ServerStatsSnapshot DiscfsServer::stats_snapshot() const {
   snap.coherence = cache_.coherence_stats();
   snap.signatures = sig_cache_.stats();   // internally synchronized
   snap.cluster = cluster_health();
-  std::shared_lock<std::shared_mutex> lock(mu_);
+  std::shared_lock<WriterPreferringMutex> lock(mu_);
   snap.credential_count = session_.credential_count();
   snap.revocation_entries = revocation_.size();
   return snap;
@@ -366,7 +366,7 @@ void DiscfsServer::AttachCoherenceFabric(cluster::CoherenceFabric* fabric) {
 }
 
 void DiscfsServer::ApplyRemoteEvent(const cluster::CoherenceEvent& event) {
-  std::lock_guard<std::shared_mutex> lock(mu_);
+  std::lock_guard<WriterPreferringMutex> lock(mu_);
   counters_.remote_events_applied.fetch_add(1, std::memory_order_relaxed);
   trace_log_.Record(event.trace_id, "apply");
   int64_t now = clock_->NowUnix();
@@ -419,17 +419,17 @@ cluster::ClusterHealth DiscfsServer::cluster_health() const {
 }
 
 Bytes DiscfsServer::SerializeRevocations() const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
+  std::shared_lock<WriterPreferringMutex> lock(mu_);
   return revocation_.SerializeEntries(clock_->NowUnix());
 }
 
 Bytes DiscfsServer::RevocationDigest() const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
+  std::shared_lock<WriterPreferringMutex> lock(mu_);
   return revocation_.Digest(clock_->NowUnix());
 }
 
 size_t DiscfsServer::MergeRevocations(const Bytes& blob) {
-  std::lock_guard<std::shared_mutex> lock(mu_);
+  std::lock_guard<WriterPreferringMutex> lock(mu_);
   int64_t now = clock_->NowUnix();
   auto merged = revocation_.MergeSerialized(blob, now);
   if (!merged.ok()) {
@@ -467,7 +467,7 @@ size_t DiscfsServer::MergeRevocations(const Bytes& blob) {
 }
 
 size_t DiscfsServer::credential_count() const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
+  std::shared_lock<WriterPreferringMutex> lock(mu_);
   return session_.credential_count();
 }
 
@@ -523,7 +523,7 @@ void DiscfsServer::RegisterDiscfsProcs() {
         {
           // Only the credential's issuer may withdraw it remotely; the
           // administrator uses the local API.
-          std::shared_lock<std::shared_mutex> lock(mu_);
+          std::shared_lock<WriterPreferringMutex> lock(mu_);
           const keynote::Assertion* credential = session_.FindCredential(id);
           if (credential == nullptr) {
             return NotFoundError("no credential with id " + id);
@@ -910,13 +910,13 @@ void DiscfsServer::RegisterServerMetrics() {
       [this, one] { return one(static_cast<double>(nfs_->ops_served())); });
   metrics_.RegisterGauge(
       "discfs_credentials", "Credentials currently installed", [this, one] {
-        std::shared_lock<std::shared_mutex> lock(mu_);
+        std::shared_lock<WriterPreferringMutex> lock(mu_);
         return one(static_cast<double>(session_.credential_count()));
       });
   metrics_.RegisterGauge(
       "discfs_revocation_entries", "Unexpired revocation-list entries",
       [this, one] {
-        std::shared_lock<std::shared_mutex> lock(mu_);
+        std::shared_lock<WriterPreferringMutex> lock(mu_);
         return one(static_cast<double>(revocation_.size()));
       });
   metrics_.RegisterGauge(

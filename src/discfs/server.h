@@ -33,6 +33,7 @@
 #include "src/obs/trace.h"
 #include "src/securechannel/channel.h"
 #include "src/util/clock.h"
+#include "src/util/rw_mutex.h"
 #include "src/vfs/vfs.h"
 
 namespace discfs {
@@ -231,8 +232,10 @@ class DiscfsServer {
 
   // Readers (access checks, mask queries) take mu_ shared and can run
   // concurrently; credential churn and policy installation take it
-  // exclusive. The policy cache has its own internal locking.
-  mutable std::shared_mutex mu_;
+  // exclusive. A waiting writer goes ahead of new readers, so a stream of
+  // access checks cannot starve a revocation; no path takes mu_ while
+  // already holding it. The policy cache has its own internal locking.
+  mutable WriterPreferringMutex mu_;
   keynote::KeyNoteSession session_;
   PolicyCache cache_;
   RevocationList revocation_;

@@ -2,9 +2,58 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <unordered_set>
 
 namespace discfs::keynote {
+namespace {
+
+bool IsHandleAttr(const Expr& e) {
+  return e.kind == Expr::Kind::kAttr && e.text == kHandleAttribute;
+}
+
+// The EqualityKey of the value a clause test pins HANDLE to: the first
+// top-level `&&` conjunct of the form HANDLE == "v" or "v" == HANDLE. The
+// test can only be true when that conjunct is.
+std::optional<std::string> TestPin(const Expr& test) {
+  if (test.kind == Expr::Kind::kAnd) {
+    std::optional<std::string> pin = TestPin(*test.children[0]);
+    return pin.has_value() ? pin : TestPin(*test.children[1]);
+  }
+  if (test.kind != Expr::Kind::kCompare || test.cmp_op != Expr::CmpOp::kEq) {
+    return std::nullopt;
+  }
+  const Expr& lhs = *test.children[0];
+  const Expr& rhs = *test.children[1];
+  if (IsHandleAttr(lhs) && rhs.kind == Expr::Kind::kStringLit) {
+    return EqualityKey(rhs.text);
+  }
+  if (IsHandleAttr(rhs) && lhs.kind == Expr::Kind::kStringLit) {
+    return EqualityKey(lhs.text);
+  }
+  return std::nullopt;
+}
+
+// The key every clause of `conditions` pins HANDLE to, if they all pin the
+// same one. Then the Conditions are bottom for any query whose HANDLE has
+// another key. Empty Conditions (top for every query) pin nothing.
+std::optional<std::string> ConditionsPin(const ConditionsProgram& conditions) {
+  std::optional<std::string> pin;
+  for (const ConditionsClause& clause : conditions.clauses) {
+    std::optional<std::string> clause_pin = TestPin(*clause.test);
+    if (!clause_pin.has_value() || (pin.has_value() && *pin != *clause_pin)) {
+      return std::nullopt;
+    }
+    pin = std::move(clause_pin);
+  }
+  return pin;
+}
+
+void EraseOne(std::vector<const Assertion*>& list, const Assertion* assertion) {
+  list.erase(std::remove(list.begin(), list.end(), assertion), list.end());
+}
+
+}  // namespace
 
 ComplianceLattice::Value CheckCompliance(
     const std::vector<const Assertion*>& assertions,
@@ -72,52 +121,71 @@ ComplianceLattice::Value CheckCompliance(
 
 void DelegationIndex::Add(const Assertion* assertion) {
   by_authorizer_[assertion->authorizer()].push_back(assertion);
+  std::optional<std::string> pin = ConditionsPin(assertion->conditions());
   for (const std::string& principal : assertion->licensee_principals()) {
-    by_licensee_[principal].push_back(assertion);
+    LicenseePostings& postings = by_licensee_[principal];
+    if (pin.has_value()) {
+      postings.pinned[*pin].push_back(assertion);
+    } else {
+      postings.unpinned.push_back(assertion);
+    }
   }
   ++assertion_count_;
 }
 
-void DelegationIndex::EraseFrom(Postings& postings,
-                                const std::string& principal,
+void DelegationIndex::EraseFrom(Postings& postings, const std::string& key,
                                 const Assertion* assertion) {
-  auto it = postings.find(principal);
+  auto it = postings.find(key);
   if (it == postings.end()) {
     return;
   }
-  auto& list = it->second;
-  list.erase(std::remove(list.begin(), list.end(), assertion), list.end());
-  if (list.empty()) {
+  EraseOne(it->second, assertion);
+  if (it->second.empty()) {
     postings.erase(it);
   }
 }
 
 void DelegationIndex::Remove(const Assertion* assertion) {
   EraseFrom(by_authorizer_, assertion->authorizer(), assertion);
+  // Recomputed from the immutable Conditions, so it names the bucket Add
+  // filed the assertion under.
+  std::optional<std::string> pin = ConditionsPin(assertion->conditions());
   for (const std::string& principal : assertion->licensee_principals()) {
-    EraseFrom(by_licensee_, principal, assertion);
+    auto it = by_licensee_.find(principal);
+    if (it == by_licensee_.end()) {
+      continue;
+    }
+    LicenseePostings& postings = it->second;
+    if (pin.has_value()) {
+      EraseFrom(postings.pinned, *pin, assertion);
+    } else {
+      EraseOne(postings.unpinned, assertion);
+    }
+    if (postings.unpinned.empty() && postings.pinned.empty()) {
+      by_licensee_.erase(it);
+    }
   }
   --assertion_count_;
 }
 
 std::vector<const Assertion*> DelegationIndex::RelevantSlice(
-    const std::vector<std::string>& requesters) const {
+    const ComplianceQuery& query) const {
+  // An absent HANDLE evaluates to "" in Conditions, so it keys like "".
+  auto handle = query.attributes.find(kHandleAttribute);
+  const std::string handle_key = EqualityKey(
+      handle == query.attributes.end() ? std::string() : handle->second);
+
   // Forward closure from the requesters along (licensee → authorizer):
-  // visiting a principal pulls in every assertion that names it as a
-  // licensee, and each such assertion's authorizer joins the frontier.
-  std::unordered_set<std::string> visited(requesters.begin(),
-                                          requesters.end());
+  // visiting a principal pulls in the assertions that name it as a
+  // licensee and are unpinned or pinned to this HANDLE, and each such
+  // assertion's authorizer joins the frontier.
+  std::unordered_set<std::string> visited(query.action_authorizers.begin(),
+                                          query.action_authorizers.end());
   std::vector<std::string> frontier(visited.begin(), visited.end());
   std::unordered_set<const Assertion*> seen;
   std::vector<const Assertion*> slice;
-  while (!frontier.empty()) {
-    std::string principal = std::move(frontier.back());
-    frontier.pop_back();
-    auto it = by_licensee_.find(principal);
-    if (it == by_licensee_.end()) {
-      continue;
-    }
-    for (const Assertion* a : it->second) {
+  auto take = [&](const std::vector<const Assertion*>& postings) {
+    for (const Assertion* a : postings) {
       if (!seen.insert(a).second) {
         continue;
       }
@@ -125,6 +193,19 @@ std::vector<const Assertion*> DelegationIndex::RelevantSlice(
       if (visited.insert(a->authorizer()).second) {
         frontier.push_back(a->authorizer());
       }
+    }
+  };
+  while (!frontier.empty()) {
+    std::string principal = std::move(frontier.back());
+    frontier.pop_back();
+    auto it = by_licensee_.find(principal);
+    if (it == by_licensee_.end()) {
+      continue;
+    }
+    take(it->second.unpinned);
+    auto bucket = it->second.pinned.find(handle_key);
+    if (bucket != it->second.pinned.end()) {
+      take(bucket->second);
     }
   }
   return slice;

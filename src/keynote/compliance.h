@@ -20,6 +20,10 @@
 
 namespace discfs::keynote {
 
+// The action attribute naming the object a query is about (DisCFS: the
+// file's inode number). DelegationIndex partitions credentials by it.
+inline constexpr char kHandleAttribute[] = "HANDLE";
+
 struct ComplianceQuery {
   // The action attribute set (app_domain, HANDLE, operation, ...).
   AttributeMap attributes;
@@ -42,9 +46,19 @@ ComplianceLattice::Value CheckCompliance(
 // index therefore answers the two closures the hot path needs:
 //
 //  * RelevantSlice — the assertions backward-reachable from the requesting
-//    principals toward POLICY. Every assertion outside the slice evaluates
-//    its licensees to bottom in the full fixpoint and contributes nothing,
-//    so CheckCompliance over the slice equals the full scan.
+//    principals toward POLICY, pinned to the query's HANDLE. An assertion
+//    is pinned to value v when every clause of its Conditions has a
+//    top-level `&&` conjunct HANDLE == "v" (either operand order); its
+//    licensee postings then sit in a bucket keyed by EqualityKey(v), and a
+//    query only opens the bucket for its own HANDLE. Every assertion left
+//    out either evaluates its licensees to bottom in the full fixpoint or
+//    has Conditions that are bottom for this query, so it contributes
+//    nothing and CheckCompliance over the slice equals the full scan.
+//    CheckCompliance still evaluates every assertion it is handed, so the
+//    slice only needs to be a superset of the contributing assertions:
+//    anything the pin test does not recognize (||, !=, ~=, $-indirection,
+//    a Local-Constant named HANDLE, empty Conditions, clauses pinning
+//    different values) stays unpinned and always in the slice.
 //  * AffectedRequesters — when an assertion is added or removed, the
 //    principals whose query results may change: everything that can reach
 //    one of its licensee principals. Used for scoped cache invalidation.
@@ -55,7 +69,7 @@ class DelegationIndex {
   void Remove(const Assertion* assertion);
 
   std::vector<const Assertion*> RelevantSlice(
-      const std::vector<std::string>& requesters) const;
+      const ComplianceQuery& query) const;
 
   // Includes the assertion's licensee principals themselves (a requester is
   // trivially affected by a change to an assertion naming it directly).
@@ -72,11 +86,19 @@ class DelegationIndex {
   using Postings =
       std::unordered_map<std::string, std::vector<const Assertion*>>;
 
-  static void EraseFrom(Postings& postings, const std::string& principal,
+  // One licensee principal's postings: unpinned assertions, and pinned
+  // ones bucketed by the EqualityKey of the HANDLE value they pin.
+  struct LicenseePostings {
+    std::vector<const Assertion*> unpinned;
+    Postings pinned;
+  };
+
+  static void EraseFrom(Postings& postings, const std::string& key,
                         const Assertion* assertion);
 
   Postings by_authorizer_;
-  Postings by_licensee_;  // one posting per distinct licensee principal
+  // One entry per distinct licensee principal.
+  std::unordered_map<std::string, LicenseePostings> by_licensee_;
   size_t assertion_count_ = 0;
 };
 

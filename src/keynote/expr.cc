@@ -280,14 +280,45 @@ Result<bool> AsBool(const EvalValue& v) {
   return InvalidArgumentError("value used where a boolean was expected");
 }
 
-// Strict full-string numeric parse.
+// Strict full-string numeric parse: a finite decimal number,
+// [+-]? (digits [. digits?] | . digits) ([eE] [+-]? digits)?. strtod's
+// wider syntax (leading whitespace, hex, "inf", "nan") is not KeyNote's,
+// and a NaN operand would make `==` true against every number.
 std::optional<double> ParseNumber(const std::string& s) {
-  if (s.empty()) {
+  auto is_digit = [](char c) { return c >= '0' && c <= '9'; };
+  size_t i = 0;
+  auto skip_digits = [&] {
+    size_t start = i;
+    while (i < s.size() && is_digit(s[i])) {
+      ++i;
+    }
+    return i - start;
+  };
+  if (i < s.size() && (s[i] == '+' || s[i] == '-')) {
+    ++i;
+  }
+  size_t mantissa_digits = skip_digits();
+  if (i < s.size() && s[i] == '.') {
+    ++i;
+    mantissa_digits += skip_digits();
+  }
+  if (mantissa_digits == 0) {
     return std::nullopt;
   }
-  char* end = nullptr;
-  double v = std::strtod(s.c_str(), &end);
-  if (end != s.c_str() + s.size()) {
+  if (i < s.size() && (s[i] == 'e' || s[i] == 'E')) {
+    ++i;
+    if (i < s.size() && (s[i] == '+' || s[i] == '-')) {
+      ++i;
+    }
+    if (skip_digits() == 0) {
+      return std::nullopt;
+    }
+  }
+  if (i != s.size()) {
+    return std::nullopt;
+  }
+  double v = std::strtod(s.c_str(), nullptr);
+  if (!std::isfinite(v)) {
     return std::nullopt;
   }
   return v;
@@ -316,6 +347,15 @@ Result<ConditionsProgram> ParseConditions(std::string_view text,
   ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(text));
   Parser parser(std::move(tokens), constants);
   return parser.ParseFullProgram();
+}
+
+std::string EqualityKey(const std::string& value) {
+  std::optional<double> n = ParseNumber(value);
+  if (!n.has_value()) {
+    return "s" + value;
+  }
+  // %.17g prints distinct doubles distinctly; -0 == 0 shares 0's key.
+  return StrPrintf("n%.17g", *n == 0 ? 0.0 : *n);
 }
 
 Result<EvalValue> EvalExpr(const Expr& expr, const AttributeMap& env) {

@@ -3,8 +3,8 @@
 //
 // Differences from the RFC, documented here once:
 //  * Typing is dynamic: a comparison is numeric when BOTH operands are
-//    numeric strings, lexicographic otherwise (the RFC separates numeric and
-//    string productions syntactically).
+//    finite decimal numbers, lexicographic otherwise (the RFC separates
+//    numeric and string productions syntactically).
 //  * Runtime errors (type mismatch, division by zero, bad regex, unknown
 //    return value name) make the enclosing clause evaluate to the lattice
 //    bottom, mirroring the RFC rule that assertion errors yield _MIN_TRUST.
@@ -97,6 +97,12 @@ Result<std::unique_ptr<Expr>> ParseExpression(std::string_view text,
 // program, which evaluates to the lattice top (no restrictions).
 Result<ConditionsProgram> ParseConditions(std::string_view text,
                                           const ConstantMap& constants);
+
+// The class of `value` under EvalExpr's `==`: two values compare equal
+// exactly when their keys are equal. A finite decimal number keys by its
+// numeric value ("5", "05", "5.0" and "5e0" share one key); anything else
+// keys by its text.
+std::string EqualityKey(const std::string& value);
 
 // Evaluates an expression against the attribute set. Errors are returned,
 // not thrown; the compliance layer maps them to the lattice bottom.

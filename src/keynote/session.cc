@@ -73,8 +73,7 @@ const Assertion* KeyNoteSession::FindCredential(const std::string& id) const {
 
 ComplianceLattice::Value KeyNoteSession::Query(
     const ComplianceQuery& query) const {
-  return CheckCompliance(index_.RelevantSlice(query.action_authorizers),
-                         query, lattice_);
+  return CheckCompliance(index_.RelevantSlice(query), query, lattice_);
 }
 
 ComplianceLattice::Value KeyNoteSession::QueryFullScan(

@@ -58,8 +58,8 @@ class KeyNoteSession {
   const Assertion* FindCredential(const std::string& id) const;
 
   // Runs the compliance checker over the assertions backward-reachable from
-  // the query's action authorizers (the delegation-graph index slice);
-  // equals QueryFullScan on every input.
+  // the query's action authorizers and not pinned to another HANDLE (the
+  // delegation-graph index slice); equals QueryFullScan on every input.
   ComplianceLattice::Value Query(const ComplianceQuery& query) const;
 
   // Reference implementation: the compliance checker over every installed

@@ -1,5 +1,8 @@
 #include "src/keynote/expr.h"
 
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "src/keynote/lexer.h"
@@ -93,6 +96,37 @@ TEST(Expr, NumericComparisonWhenBothNumeric) {
   EXPECT_FALSE(EvalBool("count < 10", env));
   EXPECT_TRUE(EvalBool("count <= 10", env));
   EXPECT_TRUE(EvalBool("count == 10.0", env));
+}
+
+TEST(Expr, NumbersAreFiniteDecimals) {
+  // strtod also reads "nan", hex and leading whitespace. None of them is a
+  // KeyNote number, and a NaN operand compared equal to every number.
+  AttributeMap five{{"HANDLE", "5"}};
+  EXPECT_FALSE(EvalBool("HANDLE == \"nan\"", five));
+  EXPECT_FALSE(EvalBool("HANDLE == \"0x5\"", five));
+  EXPECT_FALSE(EvalBool("HANDLE == \" 5\"", five));
+  EXPECT_FALSE(EvalBool("HANDLE == \"777\"", {{"HANDLE", "nan"}}));
+  // Decimal spellings of one number still compare equal.
+  EXPECT_TRUE(EvalBool("HANDLE == \"05\"", five));
+  EXPECT_TRUE(EvalBool("HANDLE == \"5.0\"", five));
+  EXPECT_TRUE(EvalBool("HANDLE == \"0.5e1\"", five));
+}
+
+TEST(Expr, EqualityKeyPartitionsLikeEquality) {
+  // Decimal spellings of a few numbers.
+  std::vector<std::string> values = {"5", "05", "5.0", "0.5e1", "+5", "5."};
+  values.insert(values.end(), {"0", "-0", "+0.0", ".5", "0.5", "1", "1e0"});
+  // strtod's syntax that KeyNote does not read as a number, and strings.
+  values.insert(values.end(), {"nan", "NaN", "inf", "0x5", " 5", "5 "});
+  values.insert(values.end(), {"1e999", "-1e999", "e5", "1e", "."});
+  values.insert(values.end(), {"-", "", "abc"});
+  for (const std::string& a : values) {
+    for (const std::string& b : values) {
+      AttributeMap env{{"a", a}, {"b", b}};
+      EXPECT_EQ(EvalBool("a == b", env), EqualityKey(a) == EqualityKey(b))
+          << "\"" << a << "\" vs \"" << b << "\"";
+    }
+  }
 }
 
 TEST(Expr, LexicographicWhenNotNumeric) {

@@ -17,7 +17,10 @@
 # through the coherence fabric) is exercised by obs_test, and the
 # overload path (watermark shedding racing worker dequeues, deadline
 # expiry at dequeue, and the non-blocking handshake state machine under
-# a half-open flood) is exercised by overload_test.
+# a half-open flood) is exercised by overload_test, and the server's
+# writer-preferring credential lock (access checks reading the delegation
+# index under it shared while submits and removals take it exclusive) is
+# exercised by policy_scaling_test.
 #
 # Usage: tools/run_tsan.sh [extra ctest -R regex]
 set -euo pipefail
@@ -33,7 +36,7 @@ command -v c++ >/dev/null 2>&1 || command -v g++ >/dev/null 2>&1 ||
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 build_dir="$repo_root/build-tsan"
-test_regex="${1:-transport_test|rpc_pipeline_test|event_loop_test|discfs_multiserver_test|security_test|cluster_coherence_test|cluster_recovery_test|admission_test|fault_smoke|block_cache_test|nfs_test|lockbox_test|obs_test|overload_test}"
+test_regex="${1:-transport_test|rpc_pipeline_test|event_loop_test|discfs_multiserver_test|security_test|cluster_coherence_test|cluster_recovery_test|admission_test|fault_smoke|block_cache_test|nfs_test|lockbox_test|obs_test|overload_test|policy_scaling_test}"
 
 cmake -B "$build_dir" -S "$repo_root" -DDISCFS_SANITIZE=thread \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
@@ -41,7 +44,8 @@ cmake --build "$build_dir" -j "$(nproc)" \
   --target transport_test rpc_pipeline_test event_loop_test \
   discfs_multiserver_test security_test cluster_coherence_test \
   cluster_recovery_test admission_test fault_harness \
-  block_cache_test nfs_test lockbox_test obs_test overload_test
+  block_cache_test nfs_test lockbox_test obs_test overload_test \
+  policy_scaling_test
 
 cd "$build_dir"
 TSAN_OPTIONS="halt_on_error=1" ctest --output-on-failure -R "$test_regex"
