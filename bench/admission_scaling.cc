@@ -14,23 +14,20 @@
 //   * sig_cache_hit_rate / resubmit_per_s — replayed submissions skipping
 //     the modexp via the verified-signature cache
 //
-// Self-gates (non-zero exit on violation):
-//   * verify speedup (ref/fast, worst tier) >= 2x
-//   * admit throughput scaling 1 -> 8 threads (best tier) >= 2x — only
-//     enforced on >= 4 hardware threads: verification is pure CPU, so a
-//     single-core container cannot scale it no matter how the locks fall.
-//
 // Output: table on stdout + BENCH_admission.json (argv[1], default
-// ./BENCH_admission.json); argv[2] caps the credential tiers.
+// ./BENCH_admission.json; docs/BENCH_SCHEMAS.md); argv[2] caps the
+// credential tiers.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench/report.h"
 #include "src/blockdev/blockdev.h"
 #include "src/crypto/groups.h"
 #include "src/discfs/action_env.h"
@@ -42,6 +39,9 @@
 
 namespace discfs {
 namespace {
+
+using bench::GateOp;
+using bench::Json;
 
 std::function<Bytes(size_t)> BenchRand(uint64_t seed) {
   auto prng = std::make_shared<Prng>(seed);
@@ -255,37 +255,25 @@ TierResult RunTier(const DsaPrivateKey& server_key, size_t n, Prng& prng) {
   return out;
 }
 
-void WriteJson(std::FILE* f, const std::vector<TierResult>& results,
-               double verify_speedup, double admit_scaling,
-               bool scaling_gate_enforced) {
-  std::fprintf(f, "{\n  \"bench\": \"admission_scaling\",\n");
-  std::fprintf(f, "  \"schema_version\": 1,\n");
-  std::fprintf(f, "  \"verify_speedup\": %.2f,\n", verify_speedup);
-  std::fprintf(f, "  \"admit_scaling_1_to_8\": %.2f,\n", admit_scaling);
-  std::fprintf(f, "  \"scaling_gate_enforced\": %s,\n",
-               scaling_gate_enforced ? "true" : "false");
-  std::fprintf(f, "  \"results\": [\n");
-  for (size_t i = 0; i < results.size(); ++i) {
-    const TierResult& r = results[i];
-    std::fprintf(
-        f,
-        "    {\"credentials\": %zu,\n"
-        "     \"verify_ref_us\": {\"mean\": %.2f, \"p50\": %.2f, "
-        "\"p99\": %.2f},\n"
-        "     \"verify_fast_us\": {\"mean\": %.2f, \"p50\": %.2f, "
-        "\"p99\": %.2f},\n"
-        "     \"admit_per_s_1t\": %.0f,\n"
-        "     \"admit_per_s_4t\": %.0f,\n"
-        "     \"admit_per_s_8t\": %.0f,\n"
-        "     \"sig_cache_hit_rate\": %.4f,\n"
-        "     \"resubmit_per_s\": %.0f}%s\n",
-        r.credentials, r.verify_ref.mean_us, r.verify_ref.p50_us,
-        r.verify_ref.p99_us, r.verify_fast.mean_us, r.verify_fast.p50_us,
-        r.verify_fast.p99_us, r.admit_per_s_1t, r.admit_per_s_4t,
-        r.admit_per_s_8t, r.sig_cache_hit_rate, r.resubmit_per_s,
-        i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
+Json LatencyJson(const LatencySummary& l) {
+  Json out = Json::Object();
+  out.Set("mean", l.mean_us);
+  out.Set("p50", l.p50_us);
+  out.Set("p99", l.p99_us);
+  return out;
+}
+
+Json TierJson(const TierResult& r) {
+  Json tier = Json::Object();
+  tier.Set("credentials", r.credentials);
+  tier.Set("verify_ref_us", LatencyJson(r.verify_ref));
+  tier.Set("verify_fast_us", LatencyJson(r.verify_fast));
+  tier.Set("admit_per_s_1t", r.admit_per_s_1t);
+  tier.Set("admit_per_s_4t", r.admit_per_s_4t);
+  tier.Set("admit_per_s_8t", r.admit_per_s_8t);
+  tier.Set("sig_cache_hit_rate", r.sig_cache_hit_rate);
+  tier.Set("resubmit_per_s", r.resubmit_per_s);
+  return tier;
 }
 
 int Run(int argc, char** argv) {
@@ -311,7 +299,11 @@ int Run(int argc, char** argv) {
               "ref p50 us", "fast p50 us", "admit 1t/s", "admit 4t/s",
               "admit 8t/s", "hit rate", "resubmit/s");
 
-  std::vector<TierResult> results;
+  Json tiers = Json::Array();
+  size_t tier_count = 0;
+  double verify_speedup = std::numeric_limits<double>::infinity();
+  double admit_scaling = 0;
+  double min_admit_per_s = std::numeric_limits<double>::infinity();
   for (size_t n : {64u, 256u, 1024u}) {
     if (n > max_credentials) {
       break;
@@ -322,58 +314,37 @@ int Run(int argc, char** argv) {
                 r.admit_per_s_1t, r.admit_per_s_4t, r.admit_per_s_8t,
                 r.sig_cache_hit_rate * 100, r.resubmit_per_s);
     std::fflush(stdout);
-    results.push_back(std::move(r));
+    const double verify_ratio = r.verify_ref.mean_us / r.verify_fast.mean_us;
+    verify_speedup = bench::GateMin(verify_speedup, verify_ratio);
+    const double admit_ratio = r.admit_per_s_8t / r.admit_per_s_1t;
+    admit_scaling = bench::GateMax(admit_scaling, admit_ratio);
+    for (double rate : {r.admit_per_s_1t, r.admit_per_s_4t, r.admit_per_s_8t}) {
+      min_admit_per_s = bench::GateMin(min_admit_per_s, rate);
+    }
+    min_admit_per_s = bench::GateMin(min_admit_per_s, r.resubmit_per_s);
+    tiers.Push(TierJson(r));
+    ++tier_count;
   }
-  if (results.empty()) {
+  if (tier_count == 0) {
     std::fprintf(stderr, "no tiers ran (max_credentials too small)\n");
     return 2;
   }
-
-  double verify_speedup = 1e9;
-  double admit_scaling = 0;
-  for (const TierResult& r : results) {
-    verify_speedup =
-        std::min(verify_speedup, r.verify_ref.mean_us / r.verify_fast.mean_us);
-    admit_scaling =
-        std::max(admit_scaling, r.admit_per_s_8t / r.admit_per_s_1t);
-  }
-  const unsigned hw = std::thread::hardware_concurrency();
-  const bool scaling_gate_enforced = hw >= 4;
 
   std::printf("verify speedup (worst tier): %.2fx\n", verify_speedup);
   std::printf("admit scaling 1->8 threads (best tier): %.2fx\n",
               admit_scaling);
 
-  std::FILE* f = std::fopen(out_path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", out_path);
-    return 1;
-  }
-  WriteJson(f, results, verify_speedup, admit_scaling,
-            scaling_gate_enforced);
-  std::fclose(f);
-  std::printf("wrote %s\n", out_path);
-
-  if (verify_speedup < 2.0) {
-    std::fprintf(stderr,
-                 "FATAL: verify speedup %.2fx < 2x — the Montgomery/Shamir "
-                 "path regressed\n",
-                 verify_speedup);
-    return 1;
-  }
-  if (!scaling_gate_enforced) {
-    std::printf(
-        "WARNING: admit-scaling gate SKIPPED (%u hardware threads < 4; "
-        "CPU-bound verification cannot scale on this machine)\n",
-        hw);
-  } else if (admit_scaling < 2.0) {
-    std::fprintf(stderr,
-                 "FATAL: admit throughput scaled only %.2fx from 1 to 8 "
-                 "threads — is verification back under the lock?\n",
-                 admit_scaling);
-    return 1;
-  }
-  return 0;
+  bench::Report report("admission_scaling");
+  report.Set("verify_speedup", verify_speedup);
+  report.Set("admit_scaling_1_to_8", admit_scaling);
+  report.Set("results", std::move(tiers));
+  // The Montgomery/Shamir verify must stay well ahead of the seed path.
+  report.AddGate("verify_speedup", verify_speedup, GateOp::kGe, 2);
+  // Verification runs outside the server lock, so admits scale with
+  // submitter threads; CPU-bound work needs the cores to show it.
+  report.AddGate("admit_scaling_1_to_8", admit_scaling, GateOp::kGe, 2, 4);
+  report.AddGate("min_admit_per_s", min_admit_per_s, GateOp::kGt, 0);
+  return report.Write(out_path);
 }
 
 }  // namespace

@@ -12,19 +12,20 @@
 //   * events_per_s — closed-burst replication throughput (publish E
 //     events, wait until every peer acked the log head).
 //
-// Output: table on stdout plus BENCH_coherence.json (path from argv[1]);
-// argv[2] caps the throughput burst. Schema documented in ROADMAP.md and
-// enforced by tools/check_bench_schema.py. Self-gates: every tier must
-// converge and keep survivor_hit_rate_remote >= 0.9.
+// Output: table on stdout plus BENCH_coherence.json (path from argv[1];
+// docs/BENCH_SCHEMAS.md); argv[2] caps the throughput burst. Every tier
+// must converge.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench/report.h"
 #include "src/blockdev/blockdev.h"
 #include "src/cluster/fabric.h"
 #include "src/crypto/groups.h"
@@ -34,6 +35,9 @@
 
 namespace discfs {
 namespace {
+
+using bench::GateOp;
+using bench::Json;
 
 constexpr size_t kWarmPrincipals = 64;
 constexpr size_t kLatencySamples = 200;
@@ -221,24 +225,16 @@ TierResult RunTier(size_t cluster_size, size_t burst_events) {
   return tier;
 }
 
-void WriteJson(std::FILE* f, const std::vector<TierResult>& results) {
-  std::fprintf(f, "{\n  \"bench\": \"coherence_propagation\",\n");
-  std::fprintf(f, "  \"schema_version\": 1,\n");
-  std::fprintf(f, "  \"warm_principals_per_receiver\": %zu,\n",
-               kWarmPrincipals);
-  std::fprintf(f, "  \"results\": [\n");
-  for (size_t i = 0; i < results.size(); ++i) {
-    const TierResult& r = results[i];
-    std::fprintf(f,
-                 "    {\"cluster_size\": %zu, \"warm_principals\": %zu, "
-                 "\"events\": %zu, \"events_per_s\": %.0f, "
-                 "\"p50_us\": %.1f, \"p99_us\": %.1f, "
-                 "\"survivor_hit_rate_remote\": %.4f}%s\n",
-                 r.cluster_size, kWarmPrincipals, r.events, r.events_per_s,
-                 r.p50_us, r.p99_us, r.survivor_hit_rate,
-                 i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
+Json TierJson(const TierResult& r) {
+  Json tier = Json::Object();
+  tier.Set("cluster_size", r.cluster_size);
+  tier.Set("warm_principals", kWarmPrincipals);
+  tier.Set("events", r.events);
+  tier.Set("events_per_s", r.events_per_s);
+  tier.Set("p50_us", r.p50_us);
+  tier.Set("p99_us", r.p99_us);
+  tier.Set("survivor_hit_rate_remote", r.survivor_hit_rate);
+  return tier;
 }
 
 int Run(int argc, char** argv) {
@@ -252,38 +248,33 @@ int Run(int argc, char** argv) {
   std::printf("%-8s %-8s %12s %10s %10s %10s\n", "nodes", "events",
               "events/s", "p50 us", "p99 us", "survivors");
 
-  std::vector<TierResult> results;
+  Json tiers = Json::Array();
+  double min_events_per_s = std::numeric_limits<double>::infinity();
+  double min_p50_us = std::numeric_limits<double>::infinity();
+  double min_survivors = std::numeric_limits<double>::infinity();
   for (size_t cluster_size : {2, 4, 8}) {
     TierResult tier = RunTier(cluster_size, burst_events);
     std::printf("%-8zu %-8zu %12.0f %10.1f %10.1f %10.4f\n",
                 tier.cluster_size, tier.events, tier.events_per_s,
                 tier.p50_us, tier.p99_us, tier.survivor_hit_rate);
     std::fflush(stdout);
-    results.push_back(tier);
+    min_events_per_s = bench::GateMin(min_events_per_s, tier.events_per_s);
+    min_p50_us = bench::GateMin(min_p50_us, tier.p50_us);
+    min_survivors = bench::GateMin(min_survivors, tier.survivor_hit_rate);
+    tiers.Push(TierJson(tier));
   }
 
-  std::FILE* f = std::fopen(out_path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", out_path);
-    return 1;
-  }
-  WriteJson(f, results);
-  std::fclose(f);
-  std::printf("wrote %s\n", out_path);
-
-  // Self-gate: remote invalidation must stay scoped. The generation table
-  // can over-invalidate on slot collisions (~warm/1024 per churn event),
-  // so the bound is 0.9, not 1.0.
-  for (const TierResult& tier : results) {
-    if (tier.survivor_hit_rate < 0.9) {
-      std::fprintf(stderr,
-                   "FAIL: tier %zu survivor_hit_rate_remote %.4f < 0.9 "
-                   "(remote invalidation not scoped)\n",
-                   tier.cluster_size, tier.survivor_hit_rate);
-      return 1;
-    }
-  }
-  return 0;
+  bench::Report report("coherence_propagation");
+  report.Set("warm_principals_per_receiver", kWarmPrincipals);
+  report.Set("results", std::move(tiers));
+  // Remote invalidation must stay scoped. The generation table can
+  // over-invalidate on slot collisions (~warm/1024 per churn event), so
+  // the bound is 0.9, not 1.0.
+  report.AddGate("min_survivor_hit_rate_remote", min_survivors, GateOp::kGe,
+                 0.9);
+  report.AddGate("min_events_per_s", min_events_per_s, GateOp::kGt, 0);
+  report.AddGate("min_p50_us", min_p50_us, GateOp::kGt, 0);
+  return report.Write(out_path);
 }
 
 }  // namespace

@@ -4,7 +4,7 @@
 // Phase 1 (single node): kPublicUsers clients each store the SAME public
 // corpus into their own file. Content addressing must collapse the
 // storage to one copy — the dedup ratio (dedup hits / chunk puts) is
-// (users-1)/users per fully shared corpus and must stay >= 0.9. Then
+// (users-1)/users per fully shared corpus. Then
 // kPrivateUsers clients seal the same plaintext under their OWN random
 // content keys; those ciphertext chunks must never collide (dedup across
 // private data would leak plaintext equality — the Bifrost caveat).
@@ -12,14 +12,11 @@
 // Phase 2 (two nodes, coherence fabric): one user, three device keys as
 // delegation leaves. One device's credential is revoked on node A; after
 // propagation every lockbox fetch by that device on node B must be
-// denied (denial rate 1.0) while the sibling devices keep being served
-// from node B's warm policy cache (zero KeyNote recomputations).
+// denied while the sibling devices keep being served from node B's warm
+// policy cache (zero KeyNote recomputations).
 //
-// Output: table on stdout plus BENCH_lockbox.json (path from argv[1]).
-// Schema documented in docs/BENCH_SCHEMAS.md and enforced by
-// tools/check_bench_schema.py. Self-gates: public dedup ratio >= 0.9,
-// private dedup hits == 0, revoked-device denial rate == 1.0, sibling
-// keynote queries == 0.
+// Output: table on stdout plus BENCH_lockbox.json (path from argv[1];
+// docs/BENCH_SCHEMAS.md).
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -27,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/report.h"
 #include "src/blockdev/blockdev.h"
 #include "src/cluster/fabric.h"
 #include "src/crypto/groups.h"
@@ -42,6 +40,9 @@
 
 namespace discfs {
 namespace {
+
+using bench::GateOp;
+using bench::Json;
 
 constexpr size_t kPublicUsers = 16;
 constexpr size_t kPrivateUsers = 8;
@@ -364,50 +365,6 @@ RevocationResult RunRevocationPhase() {
   return out;
 }
 
-void WriteJson(std::FILE* f, const DedupResult& dedup,
-               const RevocationResult& rev) {
-  std::fprintf(f, "{\n  \"bench\": \"lockbox_sharing\",\n");
-  std::fprintf(f, "  \"schema_version\": 1,\n");
-  std::fprintf(f, "  \"public_users\": %zu,\n", kPublicUsers);
-  std::fprintf(f, "  \"private_users\": %zu,\n", kPrivateUsers);
-  std::fprintf(f, "  \"payload_kb\": %zu,\n", kPayloadBytes >> 10);
-  std::fprintf(f, "  \"chunk_kb\": %u,\n", kChunkBytes >> 10);
-  std::fprintf(
-      f,
-      "  \"dedup\": {\"public_puts\": %llu, \"public_dedup_hits\": %llu, "
-      "\"public_stored_chunks\": %llu, \"public_dedup_ratio\": %.4f, "
-      "\"private_puts\": %llu, \"private_dedup_hits\": %llu, "
-      "\"private_unique_chunks\": %llu, \"put_mb_s\": %.1f, "
-      "\"get_mb_s\": %.1f},\n",
-      static_cast<unsigned long long>(dedup.public_puts),
-      static_cast<unsigned long long>(dedup.public_dedup_hits),
-      static_cast<unsigned long long>(dedup.public_stored_chunks),
-      dedup.public_dedup_ratio,
-      static_cast<unsigned long long>(dedup.private_puts),
-      static_cast<unsigned long long>(dedup.private_dedup_hits),
-      static_cast<unsigned long long>(dedup.private_unique_chunks),
-      dedup.put_mb_s, dedup.get_mb_s);
-  std::fprintf(
-      f,
-      "  \"audit\": {\"records\": %llu, \"chunks\": %llu, "
-      "\"live_references\": %llu, \"clean\": %s},\n",
-      static_cast<unsigned long long>(dedup.audit_records),
-      static_cast<unsigned long long>(dedup.audit_chunks),
-      static_cast<unsigned long long>(dedup.audit_live_references),
-      dedup.audit_clean ? "true" : "false");
-  std::fprintf(
-      f,
-      "  \"revocation\": {\"devices\": %zu, \"revoked_attempts\": %zu, "
-      "\"revoked_denied\": %zu, \"denial_rate\": %.4f, "
-      "\"sibling_fetches\": %zu, \"sibling_keynote_queries\": %llu, "
-      "\"propagation_ms\": %.2f}\n",
-      rev.devices, rev.revoked_attempts, rev.revoked_denied,
-      rev.denial_rate, rev.sibling_fetches,
-      static_cast<unsigned long long>(rev.sibling_keynote_queries),
-      rev.propagation_ms);
-  std::fprintf(f, "}\n");
-}
-
 int Run(int argc, char** argv) {
   const char* out_path = argc > 1 ? argv[1] : "BENCH_lockbox.json";
 
@@ -443,50 +400,58 @@ int Run(int argc, char** argv) {
               rev.sibling_fetches,
               static_cast<unsigned long long>(rev.sibling_keynote_queries));
 
-  std::FILE* f = std::fopen(out_path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", out_path);
-    return 1;
-  }
-  WriteJson(f, dedup, rev);
-  std::fclose(f);
-  std::printf("wrote %s\n", out_path);
+  Json dedup_json = Json::Object();
+  dedup_json.Set("public_puts", dedup.public_puts);
+  dedup_json.Set("public_dedup_hits", dedup.public_dedup_hits);
+  dedup_json.Set("public_stored_chunks", dedup.public_stored_chunks);
+  dedup_json.Set("public_dedup_ratio", dedup.public_dedup_ratio);
+  dedup_json.Set("private_puts", dedup.private_puts);
+  dedup_json.Set("private_dedup_hits", dedup.private_dedup_hits);
+  dedup_json.Set("private_unique_chunks", dedup.private_unique_chunks);
+  dedup_json.Set("put_mb_s", dedup.put_mb_s);
+  dedup_json.Set("get_mb_s", dedup.get_mb_s);
+  Json audit = Json::Object();
+  audit.Set("records", dedup.audit_records);
+  audit.Set("chunks", dedup.audit_chunks);
+  audit.Set("live_references", dedup.audit_live_references);
+  audit.Set("clean", dedup.audit_clean);
+  Json revocation = Json::Object();
+  revocation.Set("devices", rev.devices);
+  revocation.Set("revoked_attempts", rev.revoked_attempts);
+  revocation.Set("revoked_denied", rev.revoked_denied);
+  revocation.Set("denial_rate", rev.denial_rate);
+  revocation.Set("sibling_fetches", rev.sibling_fetches);
+  revocation.Set("sibling_keynote_queries", rev.sibling_keynote_queries);
+  revocation.Set("propagation_ms", rev.propagation_ms);
 
-  // Self-gates.
-  int failures = 0;
-  if (dedup.public_dedup_ratio < 0.9) {
-    std::fprintf(stderr, "FAIL: public dedup ratio %.4f < 0.9\n",
-                 dedup.public_dedup_ratio);
-    ++failures;
-  }
-  if (dedup.private_dedup_hits != 0) {
-    std::fprintf(stderr,
-                 "FAIL: %llu private (sealed) chunks deduped — ciphertext "
-                 "collision leaks plaintext equality\n",
-                 static_cast<unsigned long long>(dedup.private_dedup_hits));
-    ++failures;
-  }
-  if (rev.denial_rate != 1.0) {
-    std::fprintf(stderr,
-                 "FAIL: revoked-device denial rate %.4f != 1.0 — a revoked "
-                 "device still fetched a lockbox\n",
-                 rev.denial_rate);
-    ++failures;
-  }
-  if (rev.sibling_keynote_queries != 0) {
-    std::fprintf(stderr,
-                 "FAIL: %llu sibling keynote queries — the revocation was "
-                 "not scoped to the lost device\n",
-                 static_cast<unsigned long long>(rev.sibling_keynote_queries));
-    ++failures;
-  }
-  if (!dedup.audit_clean) {
-    std::fprintf(stderr,
-                 "FAIL: chunk store audit found refcount skew, orphans, or "
-                 "missing chunks\n");
-    ++failures;
-  }
-  return failures == 0 ? 0 : 1;
+  const double min_mb_s = bench::GateMin(dedup.put_mb_s, dedup.get_mb_s);
+  bench::Report report("lockbox_sharing");
+  report.Set("public_users", kPublicUsers);
+  report.Set("private_users", kPrivateUsers);
+  report.Set("payload_kb", kPayloadBytes >> 10);
+  report.Set("chunk_kb", kChunkBytes >> 10);
+  report.Set("dedup", std::move(dedup_json));
+  report.Set("audit", std::move(audit));
+  report.Set("revocation", std::move(revocation));
+  // Content addressing must collapse shared public data, while sealed
+  // chunks must never dedup: a hit would leak plaintext equality.
+  report.AddGate("dedup.public_dedup_ratio", dedup.public_dedup_ratio,
+                 GateOp::kGe, 0.9);
+  report.AddGate("dedup.private_dedup_hits", dedup.private_dedup_hits,
+                 GateOp::kEq, 0);
+  report.AddGate("dedup.public_stored_chunks", dedup.public_stored_chunks,
+                 GateOp::kGt, 0);
+  report.AddGate("dedup.min_mb_s", min_mb_s, GateOp::kGt, 0);
+  // No orphaned, skewed, missing or corrupt chunks after the workload.
+  report.AddGate("audit.clean", dedup.audit_clean ? 1 : 0, GateOp::kEq, 1);
+  report.AddGate("audit.records", dedup.audit_records, GateOp::kGt, 0);
+  report.AddGate("audit.chunks", dedup.audit_chunks, GateOp::kGt, 0);
+  // A revoked device never fetches a lockbox anywhere in the cluster, and
+  // the revocation stays scoped to the lost device's chain.
+  report.AddGate("revocation.denial_rate", rev.denial_rate, GateOp::kEq, 1);
+  report.AddGate("revocation.sibling_keynote_queries",
+                 rev.sibling_keynote_queries, GateOp::kEq, 0);
+  return report.Write(out_path);
 }
 
 }  // namespace

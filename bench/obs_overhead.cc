@@ -8,26 +8,23 @@
 //
 // Rounds interleave enabled/disabled so drift (frequency scaling, page
 // cache) hits both sides equally; the reported numbers are medians of
-// kTrials rounds per side.
-//
-// Self-gates (non-zero exit on violation):
-//   * overhead <= 5% on both paths (median enabled vs median disabled)
-//   * a kServerStats scrape from the live host succeeds and carries the
-//     per-proc span summaries the rounds just generated
+// kTrials rounds per side. A kServerStats scrape from the live host must
+// then carry the per-proc span summaries the rounds generated.
 //
 // Output: table on stdout + BENCH_obs.json (argv[1], default
-// ./BENCH_obs.json). Schema documented in docs/BENCH_SCHEMAS.md and
-// enforced by tools/check_bench_schema.py.
+// ./BENCH_obs.json; docs/BENCH_SCHEMAS.md).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
 #include <future>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "bench/report.h"
 #include "src/blockdev/blockdev.h"
 #include "src/crypto/groups.h"
 #include "src/discfs/action_env.h"
@@ -46,11 +43,13 @@
 namespace discfs {
 namespace {
 
+using bench::GateOp;
+using bench::Json;
+
 constexpr size_t kTrials = 5;
 constexpr size_t kWindow = 64;
 constexpr size_t kPipelinedOpsPerRound = 4000;
 constexpr size_t kAdmissionOpsPerRound = 400;
-constexpr double kGateOverheadPct = 5.0;
 
 std::function<Bytes(size_t)> BenchRand(uint64_t seed) {
   return LockedPrngBytes(seed);
@@ -246,40 +245,33 @@ int Run(int argc, char** argv) {
               admission.overhead_pct);
   std::printf("scrape_ok: %s\n", scrape_ok ? "yes" : "no");
 
-  bool pass = pipelined.overhead_pct <= kGateOverheadPct &&
-              admission.overhead_pct <= kGateOverheadPct && scrape_ok;
-
-  std::FILE* f = std::fopen(out_path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", out_path);
-    return 1;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"obs_overhead\",\n");
-  std::fprintf(f, "  \"schema_version\": 1,\n");
-  std::fprintf(f, "  \"gate_overhead_pct\": %.1f,\n", kGateOverheadPct);
-  auto path_json = [f](const char* name, const PathResult& r) {
-    std::fprintf(f,
-                 "  \"%s\": {\"enabled_ops_per_s\": %.1f, "
-                 "\"disabled_ops_per_s\": %.1f, \"overhead_pct\": %.3f},\n",
-                 name, r.enabled_ops_per_s, r.disabled_ops_per_s,
-                 r.overhead_pct);
-  };
-  path_json("pipelined_rpc", pipelined);
-  path_json("warm_admission", admission);
-  std::fprintf(f, "  \"scrape_ok\": %s,\n", scrape_ok ? "true" : "false");
-  std::fprintf(f, "  \"pass\": %s\n}\n", pass ? "true" : "false");
-  std::fclose(f);
-
-  if (!pass) {
-    std::fprintf(stderr,
-                 "obs_overhead gate FAILED (overhead > %.1f%% or scrape "
-                 "failed)\n",
-                 kGateOverheadPct);
-    return 1;
-  }
-  std::printf("obs_overhead gates passed\n");
   rpc.Close();
-  return 0;
+
+  auto path_json = [](const PathResult& r) {
+    Json out = Json::Object();
+    out.Set("enabled_ops_per_s", r.enabled_ops_per_s);
+    out.Set("disabled_ops_per_s", r.disabled_ops_per_s);
+    out.Set("overhead_pct", r.overhead_pct);
+    return out;
+  };
+  double min_ops_per_s = std::numeric_limits<double>::infinity();
+  for (const PathResult* path : {&pipelined, &admission}) {
+    min_ops_per_s = bench::GateMin(min_ops_per_s, path->enabled_ops_per_s);
+    min_ops_per_s = bench::GateMin(min_ops_per_s, path->disabled_ops_per_s);
+  }
+  bench::Report report("obs_overhead");
+  report.Set("pipelined_rpc", path_json(pipelined));
+  report.Set("warm_admission", path_json(admission));
+  report.Set("scrape_ok", scrape_ok);
+  // The recorder must stay cheap on both hot paths (medians of the
+  // interleaved rounds), and a live scrape must see what it recorded.
+  report.AddGate("pipelined_rpc.overhead_pct", pipelined.overhead_pct,
+                 GateOp::kLe, 5);
+  report.AddGate("warm_admission.overhead_pct", admission.overhead_pct,
+                 GateOp::kLe, 5);
+  report.AddGate("scrape_ok", scrape_ok ? 1 : 0, GateOp::kEq, 1);
+  report.AddGate("min_ops_per_s", min_ops_per_s, GateOp::kGt, 0);
+  return report.Write(out_path);
 }
 
 }  // namespace

@@ -27,11 +27,7 @@
 //      handshake within the timeout while the flood stands.
 //
 // Output: table on stdout plus BENCH_overload.json (path from argv[1];
-// argv[2] caps the credential corpus). Schema in docs/BENCH_SCHEMAS.md,
-// enforced by tools/check_bench_schema.py. Self-gates: zero control-plane
-// sheds with data sheds engaged at 2x, zero expired requests executed,
-// flood survival; p99-at-0.5x and goodput-at-2x gates are enforced on
-// hardware with >= 4 cores (same convention as admission_scaling).
+// argv[2] caps the credential corpus; docs/BENCH_SCHEMAS.md).
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -44,6 +40,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench/report.h"
 #include "src/blockdev/blockdev.h"
 #include "src/crypto/groups.h"
 #include "src/discfs/client.h"
@@ -61,6 +58,9 @@
 
 namespace discfs {
 namespace {
+
+using bench::GateOp;
+using bench::Json;
 
 constexpr size_t kLicenseesPerCredential = 100;
 constexpr size_t kIntermediaries = 10;
@@ -93,9 +93,6 @@ constexpr uint32_t kExpiryReadBytes = 64 << 10;
 // one service time plus reply queueing; anything later than this grace
 // past the deadline proves expired work was executed.
 constexpr double kLateGraceS = 0.25;
-
-constexpr double kP99GateMs = 50.0;
-constexpr double kGoodputRatioGate = 0.7;
 
 std::function<Bytes(size_t)> BenchRand(uint64_t seed) {
   return LockedPrngBytes(seed);
@@ -769,84 +766,68 @@ FloodResult RunFloodPhase(Env& env) {
 
 // ------------------------------------------------------------------ output
 
-void WriteJson(std::FILE* f, const Corpus& corpus, size_t credentials,
-               double saturation, const std::vector<PhaseResult>& phases,
-               double goodput_ratio_2x, const DeadlineResult& dl,
-               const FloodResult& fl, bool load_gates_enforced) {
-  std::fprintf(f, "{\n  \"bench\": \"overload\",\n");
-  std::fprintf(f, "  \"schema_version\": 1,\n");
-  std::fprintf(f,
-               "  \"corpus\": {\"credentials\": %zu, \"principals\": %zu, "
-               "\"intermediaries\": %zu, \"delegation_depth\": 3, "
-               "\"files\": %zu, \"read_bytes\": %u, \"sign_s\": %.2f, "
-               "\"submit_s\": %.2f},\n",
-               credentials, corpus.principals, kIntermediaries, kFiles,
-               kReadBytes, corpus.sign_s, corpus.submit_s);
-  std::fprintf(f, "  \"saturation_ops_s\": %.0f,\n", saturation);
-  std::fprintf(f, "  \"phases\": [\n");
-  for (size_t i = 0; i < phases.size(); ++i) {
-    const PhaseResult& p = phases[i];
-    std::fprintf(
-        f,
-        "    {\"offered_x\": %.1f, \"offered_ops_s\": %.0f, "
-        "\"duration_s\": %.2f, \"sent\": %llu, \"ok\": %llu, "
-        "\"shed\": %llu, \"deadline_exceeded\": %llu, "
-        "\"other_errors\": %llu, \"goodput_ops_s\": %.0f, "
-        "\"p50_ms\": %.2f, \"p99_ms\": %.2f, \"control_sent\": %llu, "
-        "\"control_ok\": %llu, \"control_errors\": %llu, "
-        "\"shed_control\": %llu, \"shed_namespace\": %llu, "
-        "\"shed_data\": %llu}%s\n",
-        p.offered_x, p.offered_ops_s, p.duration_s,
-        static_cast<unsigned long long>(p.sent),
-        static_cast<unsigned long long>(p.ok),
-        static_cast<unsigned long long>(p.shed),
-        static_cast<unsigned long long>(p.deadline_exceeded),
-        static_cast<unsigned long long>(p.other_errors), p.goodput_ops_s,
-        p.latency.p50_ms, p.latency.p99_ms,
-        static_cast<unsigned long long>(p.control_sent),
-        static_cast<unsigned long long>(p.control_ok),
-        static_cast<unsigned long long>(p.control_errors),
-        static_cast<unsigned long long>(p.shed_control),
-        static_cast<unsigned long long>(p.shed_namespace),
-        static_cast<unsigned long long>(p.shed_data),
-        i + 1 < phases.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"sub_saturation_p99_ms\": %.2f,\n",
-               phases[0].latency.p99_ms);
-  std::fprintf(f, "  \"goodput_ratio_2x\": %.3f,\n", goodput_ratio_2x);
-  std::fprintf(
-      f,
-      "  \"deadline\": {\"deadline_ms\": %u, \"per_op_us\": %.1f, "
-      "\"burst\": %llu, \"ok\": %llu, \"expired_replies\": %llu, "
-      "\"other_errors\": %llu, \"late_ok\": %llu, "
-      "\"server_expired_dropped\": %llu},\n",
-      dl.deadline_ms, dl.per_op_us,
-      static_cast<unsigned long long>(dl.burst),
-      static_cast<unsigned long long>(dl.ok),
-      static_cast<unsigned long long>(dl.expired_replies),
-      static_cast<unsigned long long>(dl.other_errors),
-      static_cast<unsigned long long>(dl.late_ok),
-      static_cast<unsigned long long>(dl.server_expired_dropped));
-  std::fprintf(
-      f,
-      "  \"handshake_flood\": {\"flood_connections\": %zu, "
-      "\"peak_half_open\": %zu, \"pool_queue_peak\": %zu, "
-      "\"pool_inflight_peak\": %zu, \"legit_ok\": %s, "
-      "\"legit_handshake_ms\": %.1f, \"timeout_ms\": %llu, "
-      "\"timed_out\": %llu, \"evicted\": %llu, \"completed\": %llu, "
-      "\"drained\": %s},\n",
-      fl.flood_connections, fl.peak_half_open, fl.pool_queue_peak,
-      fl.pool_inflight_peak, fl.legit_ok ? "true" : "false",
-      fl.legit_handshake_ms,
-      static_cast<unsigned long long>(kHandshakeTimeoutMs),
-      static_cast<unsigned long long>(fl.timed_out),
-      static_cast<unsigned long long>(fl.evicted),
-      static_cast<unsigned long long>(fl.completed),
-      fl.drained ? "true" : "false");
-  std::fprintf(f, "  \"load_gates_enforced\": %s\n",
-               load_gates_enforced ? "true" : "false");
-  std::fprintf(f, "}\n");
+Json CorpusJson(const Corpus& corpus, size_t credentials) {
+  Json out = Json::Object();
+  out.Set("credentials", credentials);
+  out.Set("principals", corpus.principals);
+  out.Set("intermediaries", kIntermediaries);
+  out.Set("delegation_depth", 3);
+  out.Set("files", kFiles);
+  out.Set("read_bytes", kReadBytes);
+  out.Set("sign_s", corpus.sign_s);
+  out.Set("submit_s", corpus.submit_s);
+  return out;
+}
+
+Json PhaseJson(const PhaseResult& p) {
+  Json out = Json::Object();
+  out.Set("offered_x", p.offered_x);
+  out.Set("offered_ops_s", p.offered_ops_s);
+  out.Set("duration_s", p.duration_s);
+  out.Set("sent", p.sent);
+  out.Set("ok", p.ok);
+  out.Set("shed", p.shed);
+  out.Set("deadline_exceeded", p.deadline_exceeded);
+  out.Set("other_errors", p.other_errors);
+  out.Set("goodput_ops_s", p.goodput_ops_s);
+  out.Set("p50_ms", p.latency.p50_ms);
+  out.Set("p99_ms", p.latency.p99_ms);
+  out.Set("control_sent", p.control_sent);
+  out.Set("control_ok", p.control_ok);
+  out.Set("control_errors", p.control_errors);
+  out.Set("shed_control", p.shed_control);
+  out.Set("shed_namespace", p.shed_namespace);
+  out.Set("shed_data", p.shed_data);
+  return out;
+}
+
+Json DeadlineJson(const DeadlineResult& dl) {
+  Json out = Json::Object();
+  out.Set("deadline_ms", dl.deadline_ms);
+  out.Set("per_op_us", dl.per_op_us);
+  out.Set("burst", dl.burst);
+  out.Set("ok", dl.ok);
+  out.Set("expired_replies", dl.expired_replies);
+  out.Set("other_errors", dl.other_errors);
+  out.Set("late_ok", dl.late_ok);
+  out.Set("server_expired_dropped", dl.server_expired_dropped);
+  return out;
+}
+
+Json FloodJson(const FloodResult& fl) {
+  Json out = Json::Object();
+  out.Set("flood_connections", fl.flood_connections);
+  out.Set("peak_half_open", fl.peak_half_open);
+  out.Set("pool_queue_peak", fl.pool_queue_peak);
+  out.Set("pool_inflight_peak", fl.pool_inflight_peak);
+  out.Set("legit_ok", fl.legit_ok);
+  out.Set("legit_handshake_ms", fl.legit_handshake_ms);
+  out.Set("timeout_ms", kHandshakeTimeoutMs);
+  out.Set("timed_out", fl.timed_out);
+  out.Set("evicted", fl.evicted);
+  out.Set("completed", fl.completed);
+  out.Set("drained", fl.drained);
+  return out;
 }
 
 int Run(int argc, char** argv) {
@@ -857,12 +838,7 @@ int Run(int argc, char** argv) {
   }
   credentials = std::max(credentials, kFiles + 10);
 
-  const size_t hw = std::thread::hardware_concurrency();
-  // Latency/goodput gates are hardware-sensitive (the open-loop drivers,
-  // client demux threads, and the server share the cores); structural
-  // gates below are always enforced.
-  const bool load_gates_enforced = hw >= 4;
-  const size_t drivers = hw >= 8 ? 8 : 4;
+  const size_t drivers = std::thread::hardware_concurrency() >= 8 ? 8 : 4;
 
   std::printf("== Graceful overload: policy-aware shedding under "
               "open-loop load (%zu credentials, %zu-way delegation "
@@ -953,92 +929,54 @@ int Run(int argc, char** argv) {
               fl.legit_handshake_ms, fl.legit_ok ? "ok" : "FAILED",
               static_cast<unsigned long long>(fl.timed_out));
 
-  std::FILE* f = std::fopen(out_path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", out_path);
-    return 1;
-  }
-  WriteJson(f, corpus, credentials, saturation, phases, goodput_ratio_2x,
-            dl, fl, load_gates_enforced);
-  std::fclose(f);
-  std::printf("wrote %s\n", out_path);
-
-  // --- self-gates ---
-  int failures = 0;
+  Json phases_json = Json::Array();
   uint64_t other = 0, control_errors = 0, control_sheds = 0;
   for (const PhaseResult& p : phases) {
+    phases_json.Push(PhaseJson(p));
     other += p.other_errors;
     control_errors += p.control_errors;
     control_sheds += p.shed_control;
   }
-  if (other != 0 || control_errors != 0) {
-    std::fprintf(stderr, "FAIL: %llu unexpected data errors, %llu "
-                 "control errors\n",
-                 static_cast<unsigned long long>(other),
-                 static_cast<unsigned long long>(control_errors));
-    ++failures;
-  }
-  if (control_sheds != 0) {
-    std::fprintf(stderr, "FAIL: %llu control-plane ops shed (must ride "
-                 "through to the hard limit)\n",
-                 static_cast<unsigned long long>(control_sheds));
-    ++failures;
-  }
-  if (phases[2].shed_data == 0) {
-    std::fprintf(stderr, "FAIL: no data sheds at 2x offered load — "
-                 "overload never engaged the watermark\n");
-    ++failures;
-  }
-  if (dl.server_expired_dropped == 0 || dl.expired_replies == 0) {
-    std::fprintf(stderr, "FAIL: deadline burst expired nothing "
-                 "(server dropped %llu, client saw %llu)\n",
-                 static_cast<unsigned long long>(dl.server_expired_dropped),
-                 static_cast<unsigned long long>(dl.expired_replies));
-    ++failures;
-  }
-  if (dl.late_ok != 0 || dl.other_errors != 0) {
-    std::fprintf(stderr, "FAIL: %llu expired requests were executed "
-                 "anyway (late OK replies), %llu other errors\n",
-                 static_cast<unsigned long long>(dl.late_ok),
-                 static_cast<unsigned long long>(dl.other_errors));
-    ++failures;
-  }
-  if (fl.pool_queue_peak != 0 || fl.pool_inflight_peak != 0) {
-    std::fprintf(stderr, "FAIL: handshake flood reached the worker pool "
-                 "(queue peak %zu, inflight peak %zu)\n",
-                 fl.pool_queue_peak, fl.pool_inflight_peak);
-    ++failures;
-  }
-  if (!fl.legit_ok || fl.legit_handshake_ms >= kHandshakeTimeoutMs) {
-    std::fprintf(stderr, "FAIL: legitimate handshake during flood: %s in "
-                 "%.0fms (timeout %llums)\n",
-                 fl.legit_ok ? "ok" : "failed", fl.legit_handshake_ms,
-                 static_cast<unsigned long long>(kHandshakeTimeoutMs));
-    ++failures;
-  }
-  if (!fl.drained || fl.peak_half_open < kFloodConnections) {
-    std::fprintf(stderr, "FAIL: flood tracking (peak half-open %zu, "
-                 "drained %d)\n",
-                 fl.peak_half_open, fl.drained ? 1 : 0);
-    ++failures;
-  }
-  if (load_gates_enforced) {
-    if (phases[0].latency.p99_ms > kP99GateMs) {
-      std::fprintf(stderr, "FAIL: p99 at 0.5x saturation %.2fms > %.0fms\n",
-                   phases[0].latency.p99_ms, kP99GateMs);
-      ++failures;
-    }
-    if (goodput_ratio_2x < kGoodputRatioGate) {
-      std::fprintf(stderr, "FAIL: goodput under 2x overload is %.2fx "
-                   "saturation (< %.2f)\n",
-                   goodput_ratio_2x, kGoodputRatioGate);
-      ++failures;
-    }
-  } else {
-    std::printf("note: %zu hardware threads — p99/goodput gates recorded "
-                "but not enforced\n", hw);
-  }
-  return failures == 0 ? 0 : 1;
+
+  const size_t pool_peak = std::max(fl.pool_queue_peak, fl.pool_inflight_peak);
+  bench::Report report("overload");
+  report.Set("corpus", CorpusJson(corpus, credentials));
+  report.Set("saturation_ops_s", saturation);
+  report.Set("phases", std::move(phases_json));
+  report.Set("sub_saturation_p99_ms", phases[0].latency.p99_ms);
+  report.Set("goodput_ratio_2x", goodput_ratio_2x);
+  report.Set("deadline", DeadlineJson(dl));
+  report.Set("handshake_flood", FloodJson(fl));
+  // Control-plane work rides through overload to the hard limit while
+  // data sheds at 2x, and nothing else errors.
+  report.AddGate("saturation_ops_s", saturation, GateOp::kGt, 0);
+  report.AddGate("phases.shed_control", control_sheds, GateOp::kEq, 0);
+  report.AddGate("phases.control_errors", control_errors, GateOp::kEq, 0);
+  report.AddGate("phases.other_errors", other, GateOp::kEq, 0);
+  report.AddGate("phases.shed_data_at_2x", phases[2].shed_data, GateOp::kGt, 0);
+  // Expired work is dropped at dequeue, never executed.
+  report.AddGate("deadline.server_expired_dropped", dl.server_expired_dropped,
+                 GateOp::kGt, 0);
+  report.AddGate("deadline.expired_replies", dl.expired_replies, GateOp::kGt,
+                 0);
+  report.AddGate("deadline.late_ok", dl.late_ok, GateOp::kEq, 0);
+  report.AddGate("deadline.other_errors", dl.other_errors, GateOp::kEq, 0);
+  // Half-open connections never reach the worker pool, a real client
+  // still handshakes mid-flood, and the flood is reaped afterwards.
+  report.AddGate("handshake_flood.peak_half_open", fl.peak_half_open,
+                 GateOp::kGe, fl.flood_connections);
+  report.AddGate("handshake_flood.pool_peak", pool_peak, GateOp::kEq, 0);
+  report.AddGate("handshake_flood.legit_ok", fl.legit_ok ? 1 : 0, GateOp::kEq,
+                 1);
+  report.AddGate("handshake_flood.legit_handshake_ms", fl.legit_handshake_ms,
+                 GateOp::kLt, kHandshakeTimeoutMs);
+  report.AddGate("handshake_flood.drained", fl.drained ? 1 : 0, GateOp::kEq, 1);
+  // Latency and goodput depend on the open-loop drivers, the client demux
+  // threads and the server sharing the cores.
+  report.AddGate("sub_saturation_p99_ms", phases[0].latency.p99_ms, GateOp::kLe,
+                 50, 4);
+  report.AddGate("goodput_ratio_2x", goodput_ratio_2x, GateOp::kGe, 0.7, 4);
+  return report.Write(out_path);
 }
 
 }  // namespace

@@ -14,14 +14,17 @@
 //     (the old design flushed everything: 0.0; scoped invalidation: 1.0)
 //
 // Output: human-readable table on stdout plus BENCH_policy.json (path from
-// argv[1], default ./BENCH_policy.json). Schema documented in ROADMAP.md.
+// argv[1], default ./BENCH_policy.json; docs/BENCH_SCHEMAS.md). The index
+// must agree with the full scan at every size.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "bench/report.h"
 #include "src/crypto/groups.h"
 #include "src/discfs/policy_cache.h"
 #include "src/keynote/assertion.h"
@@ -31,6 +34,8 @@
 namespace discfs {
 namespace {
 
+using bench::GateOp;
+using bench::Json;
 using keynote::AssertionBuilder;
 using keynote::ComplianceQuery;
 using keynote::KeyNoteSession;
@@ -195,33 +200,27 @@ Result<SizeResult> RunSize(const DsaPrivateKey& server_key, size_t n,
   return out;
 }
 
-void WriteJson(std::FILE* f, const std::vector<SizeResult>& results) {
-  std::fprintf(f, "{\n  \"bench\": \"policy_scaling\",\n");
-  std::fprintf(f, "  \"schema_version\": 1,\n  \"results\": [\n");
-  for (size_t i = 0; i < results.size(); ++i) {
-    const SizeResult& r = results[i];
-    std::fprintf(f,
-                 "    {\"credentials\": %zu, \"principals\": %zu,\n"
-                 "     \"admit_s\": %.3f,\n"
-                 "     \"indexed_miss_us\": {\"mean\": %.2f, \"p50\": %.2f, "
-                 "\"p99\": %.2f},\n"
-                 "     \"fullscan_miss_us\": {\"mean\": %.2f, \"p50\": %.2f, "
-                 "\"p99\": %.2f},\n"
-                 "     \"warm_hit_ops_per_s\": %.0f,\n"
-                 "     \"warm_hit_rate\": %.4f,\n"
-                 "     \"survivor_hit_rate_after_submit\": %.4f,\n"
-                 "     \"invalidated_principals\": %zu,\n"
-                 "     \"indexed_matches_fullscan\": %s}%s\n",
-                 r.credentials, r.credentials, r.admit_s,
-                 r.indexed_miss.mean_us, r.indexed_miss.p50_us,
-                 r.indexed_miss.p99_us, r.fullscan_miss.mean_us,
-                 r.fullscan_miss.p50_us, r.fullscan_miss.p99_us,
-                 r.warm_hit_ops_per_s, r.warm_hit_rate, r.survivor_hit_rate,
-                 r.invalidated_principals,
-                 r.indexed_matches_fullscan ? "true" : "false",
-                 i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
+Json LatencyJson(const LatencySummary& l) {
+  Json out = Json::Object();
+  out.Set("mean", l.mean_us);
+  out.Set("p50", l.p50_us);
+  out.Set("p99", l.p99_us);
+  return out;
+}
+
+Json TierJson(const SizeResult& r) {
+  Json tier = Json::Object();
+  tier.Set("credentials", r.credentials);
+  tier.Set("principals", r.credentials);
+  tier.Set("admit_s", r.admit_s);
+  tier.Set("indexed_miss_us", LatencyJson(r.indexed_miss));
+  tier.Set("fullscan_miss_us", LatencyJson(r.fullscan_miss));
+  tier.Set("warm_hit_ops_per_s", r.warm_hit_ops_per_s);
+  tier.Set("warm_hit_rate", r.warm_hit_rate);
+  tier.Set("survivor_hit_rate_after_submit", r.survivor_hit_rate);
+  tier.Set("invalidated_principals", r.invalidated_principals);
+  tier.Set("indexed_matches_fullscan", r.indexed_matches_fullscan);
+  return tier;
 }
 
 int Run(int argc, char** argv) {
@@ -246,7 +245,9 @@ int Run(int argc, char** argv) {
               "indexed p50 us", "fullscan p50 us", "warm ops/s",
               "survivors");
 
-  std::vector<SizeResult> results;
+  Json tiers = Json::Array();
+  size_t tier_count = 0, diverged = 0;
+  double min_warm_ops = std::numeric_limits<double>::infinity();
   for (size_t n : {10u, 100u, 1000u, 10000u}) {
     if (n > max_credentials) {
       break;
@@ -257,29 +258,23 @@ int Run(int argc, char** argv) {
                    result.status().ToString().c_str());
       return 1;
     }
-    results.push_back(*result);
-    const SizeResult& r = results.back();
+    const SizeResult& r = *result;
     std::printf("%-8zu %12.2f %16.2f %16.2f %14.0f %9.0f%%\n", n, r.admit_s,
                 r.indexed_miss.p50_us, r.fullscan_miss.p50_us,
                 r.warm_hit_ops_per_s, r.survivor_hit_rate * 100);
     std::fflush(stdout);
-    if (!r.indexed_matches_fullscan) {
-      std::fprintf(stderr,
-                   "FATAL: indexed query diverged from full scan at %zu\n",
-                   n);
-      return 1;
-    }
+    tiers.Push(TierJson(r));
+    ++tier_count;
+    diverged += r.indexed_matches_fullscan ? 0 : 1;
+    min_warm_ops = bench::GateMin(min_warm_ops, r.warm_hit_ops_per_s);
   }
 
-  std::FILE* f = std::fopen(out_path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", out_path);
-    return 1;
-  }
-  WriteJson(f, results);
-  std::fclose(f);
-  std::printf("wrote %s\n", out_path);
-  return 0;
+  bench::Report report("policy_scaling");
+  report.Set("results", std::move(tiers));
+  report.AddGate("tiers", tier_count, GateOp::kGe, 1);
+  report.AddGate("indexed_diverged_tiers", diverged, GateOp::kEq, 0);
+  report.AddGate("min_warm_hit_ops_per_s", min_warm_ops, GateOp::kGt, 0);
+  return report.Write(out_path);
 }
 
 }  // namespace

@@ -13,8 +13,7 @@
 // the speedup column is pipelining's contribution alone.
 //
 // Output: human-readable table on stdout plus BENCH_rpc.json (path from
-// argv[1], default ./BENCH_rpc.json). Schema documented in ROADMAP.md and
-// enforced by tools/check_bench_schema.py.
+// argv[1], default ./BENCH_rpc.json; docs/BENCH_SCHEMAS.md).
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -23,12 +22,14 @@
 #include <cstring>
 #include <deque>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench/report.h"
 #include "src/crypto/groups.h"
 #include "src/net/event_loop.h"
 #include "src/net/transport.h"
@@ -39,6 +40,9 @@
 
 namespace discfs {
 namespace {
+
+using bench::GateOp;
+using bench::Json;
 
 constexpr uint32_t kProg = 7;
 constexpr uint32_t kProcEcho = 1;
@@ -347,26 +351,16 @@ TierResult RunTier(BenchServer& server, const DsaPrivateKey& client_key,
   return tier;
 }
 
-void WriteJson(std::FILE* f, const std::vector<TierResult>& results,
-               double speedup_1conn, long thread_delta) {
-  std::fprintf(f, "{\n  \"bench\": \"rpc_pipeline\",\n");
-  std::fprintf(f, "  \"schema_version\": 1,\n");
-  std::fprintf(f, "  \"handler_simulated_io_us\": %lld,\n",
-               static_cast<long long>(kSimulatedIo.count()));
-  std::fprintf(f, "  \"pipeline_speedup_1conn\": %.2f,\n", speedup_1conn);
-  std::fprintf(f, "  \"thread_delta_64_to_256\": %ld,\n", thread_delta);
-  std::fprintf(f, "  \"results\": [\n");
-  for (size_t i = 0; i < results.size(); ++i) {
-    const TierResult& r = results[i];
-    std::fprintf(f,
-                 "    {\"connections\": %zu, \"inflight\": %zu, "
-                 "\"ops\": %zu, \"ops_per_s\": %.0f, "
-                 "\"p50_us\": %.1f, \"p99_us\": %.1f, \"threads\": %zu}%s\n",
-                 r.connections, r.inflight, r.ops, r.ops_per_s,
-                 r.latency.p50_us, r.latency.p99_us, r.threads,
-                 i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
+Json TierJson(const TierResult& r) {
+  Json tier = Json::Object();
+  tier.Set("connections", r.connections);
+  tier.Set("inflight", r.inflight);
+  tier.Set("ops", r.ops);
+  tier.Set("ops_per_s", r.ops_per_s);
+  tier.Set("p50_us", r.latency.p50_us);
+  tier.Set("p99_us", r.latency.p99_us);
+  tier.Set("threads", r.threads);
+  return tier;
 }
 
 int Run(int argc, char** argv) {
@@ -399,9 +393,11 @@ int Run(int argc, char** argv) {
       {16, 1}, {16, 8}, {16, 64}, {64, 16}, {256, 8},
   };
 
-  std::vector<TierResult> results;
+  Json tiers = Json::Array();
   double serial_1conn = 0, pipelined_1conn = 0;
+  double min_ops_per_s = std::numeric_limits<double>::infinity();
   size_t threads_64 = 0, threads_256 = 0;
+  size_t min_threads = std::numeric_limits<size_t>::max();
   for (const TierSpec& spec : specs) {
     TierResult tier = RunTier(server, client_key, spec.connections,
                               spec.inflight);
@@ -421,7 +417,9 @@ int Run(int argc, char** argv) {
     if (spec.connections == 256) {
       threads_256 = tier.threads;
     }
-    results.push_back(tier);
+    min_ops_per_s = bench::GateMin(min_ops_per_s, tier.ops_per_s);
+    min_threads = std::min(min_threads, tier.threads);
+    tiers.Push(TierJson(tier));
   }
 
   double speedup = serial_1conn > 0 ? pipelined_1conn / serial_1conn : 0;
@@ -433,30 +431,19 @@ int Run(int argc, char** argv) {
               "192 extra connections, both sides)\n",
               threads_64, threads_256, thread_delta);
 
-  std::FILE* f = std::fopen(out_path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", out_path);
-    return 1;
-  }
-  WriteJson(f, results, speedup, thread_delta);
-  std::fclose(f);
-  std::printf("wrote %s\n", out_path);
-
-  // Self-gates: pipelining must pull its weight, and 192 additional
-  // connections must not add threads (a handful of slack covers transient
-  // reap/spawn noise) — the event-loop runtime's core promise.
-  if (speedup < 3.0) {
-    std::fprintf(stderr, "FAIL: pipeline speedup %.2f < 3x\n", speedup);
-    return 1;
-  }
-  if (thread_delta > 8) {
-    std::fprintf(stderr,
-                 "FAIL: thread count grew by %ld from 64 to 256 conns "
-                 "(not O(workers + poller))\n",
-                 thread_delta);
-    return 1;
-  }
-  return 0;
+  bench::Report report("rpc_pipeline");
+  report.Set("handler_simulated_io_us", kSimulatedIo.count());
+  report.Set("pipeline_speedup_1conn", speedup);
+  report.Set("thread_delta_64_to_256", thread_delta);
+  report.Set("results", std::move(tiers));
+  // Pipelining must pull its weight, and 192 additional connections must
+  // not add threads (a handful of slack covers transient reap/spawn
+  // noise): the event-loop runtime's core promise.
+  report.AddGate("pipeline_speedup_1conn", speedup, GateOp::kGe, 3);
+  report.AddGate("thread_delta_64_to_256", thread_delta, GateOp::kLe, 8);
+  report.AddGate("min_ops_per_s", min_ops_per_s, GateOp::kGt, 0);
+  report.AddGate("min_threads", min_threads, GateOp::kGt, 0);
+  return report.Write(out_path);
 }
 
 }  // namespace

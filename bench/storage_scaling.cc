@@ -7,9 +7,8 @@
 //                      gated against.
 //   cached_latency   — block cache + readahead over the same modeled
 //                      device: warm sequential reads must elide device
-//                      I/O entirely (>= 3x the uncached read throughput),
-//                      and the bonnie rewrite pass must run >= 90% out of
-//                      cache.
+//                      I/O entirely, and the bonnie rewrite pass must run
+//                      out of cache.
 //   cached_fast      — latency model off: the pure software-overhead
 //                      numbers, full bonnie phase set.
 //   nfs              — concurrent 4 KiB-block reads of independent files
@@ -19,20 +18,22 @@
 // Every tier ends with Ffs::Check(): a write-back bug that corrupts
 // metadata fails the run, not just a test.
 //
-// Output: BENCH_storage.json (schema_version 1), self-gated like the other
-// benches. DISCFS_STORAGE_MB scales the file (default 4 MiB).
+// Output: BENCH_storage.json (argv[1]; docs/BENCH_SCHEMAS.md).
+// DISCFS_STORAGE_MB scales the file (default 4 MiB).
 
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
 
 #include "bench/bonnie.h"
 #include "bench/fs_backend.h"
+#include "bench/report.h"
 #include "src/blockdev/block_cache.h"
 #include "src/blockdev/blockdev.h"
 #include "src/ffs/ffs.h"
@@ -94,30 +95,31 @@ double MustRun(FsBackend& backend, BonniePhase phase, size_t file_mb) {
   return result->kb_per_sec;
 }
 
-bool MustFsck(FsBackend& backend, const char* tier) {
-  Ffs* ffs = BackendFfs(backend);
+// Syncs the tier's volume and runs fsck; false (with the findings on
+// stderr) when either fails.
+bool FsckClean(Ffs* ffs, const char* tier) {
   if (ffs == nullptr) {
     std::fprintf(stderr, "FATAL: tier %s has no FFS backend\n", tier);
     std::exit(1);
   }
   if (Status st = ffs->Sync(); !st.ok()) {
-    std::fprintf(stderr, "FATAL: sync after tier %s: %s\n", tier,
+    std::fprintf(stderr, "sync after tier %s: %s\n", tier,
                  st.ToString().c_str());
-    std::exit(1);
+    return false;
   }
   auto report = ffs->Check();
   if (!report.ok()) {
-    std::fprintf(stderr, "FATAL: fsck after tier %s errored: %s\n", tier,
+    std::fprintf(stderr, "fsck after tier %s errored: %s\n", tier,
                  report.status().ToString().c_str());
-    std::exit(1);
+    return false;
   }
   if (!report->clean()) {
-    std::fprintf(stderr, "FATAL: fsck after tier %s found %zu errors:\n",
-                 tier, report->errors.size());
+    std::fprintf(stderr, "fsck after tier %s found %zu errors:\n", tier,
+                 report->errors.size());
     for (const std::string& e : report->errors) {
       std::fprintf(stderr, "  %s\n", e.c_str());
     }
-    std::exit(1);
+    return false;
   }
   std::printf("fsck after %s: clean (%llu files, %llu dirs, %llu blocks)\n",
               tier, static_cast<unsigned long long>(report->files),
@@ -129,8 +131,7 @@ bool MustFsck(FsBackend& backend, const char* tier) {
 struct UncachedResult {
   double write_kb_s = 0;
   double read_kb_s = 0;
-  uint64_t device_reads = 0;
-  uint64_t device_writes = 0;
+  bool fsck_clean = false;
 };
 
 UncachedResult RunUncachedTier(size_t file_mb) {
@@ -144,11 +145,7 @@ UncachedResult RunUncachedTier(size_t file_mb) {
   UncachedResult out;
   out.write_kb_s = MustRun(**backend, BonniePhase::kSeqOutputBlock, file_mb);
   out.read_kb_s = MustRun(**backend, BonniePhase::kSeqInputBlock, file_mb);
-  Ffs* ffs = BackendFfs(**backend);
-  out.device_reads = ffs->block_cache() == nullptr
-                         ? 0
-                         : ffs->block_cache()->stats().reads.load();
-  MustFsck(**backend, "uncached_latency");
+  out.fsck_clean = FsckClean(BackendFfs(**backend), "uncached_latency");
   return out;
 }
 
@@ -162,6 +159,7 @@ struct CachedResult {
   uint64_t writebacks = 0;
   uint64_t device_reads = 0;
   uint64_t device_writes = 0;
+  bool fsck_clean = false;
 };
 
 CachedResult RunCachedTier(size_t file_mb) {
@@ -205,12 +203,13 @@ CachedResult RunCachedTier(size_t file_mb) {
   out.writebacks = cs.writebacks.load();
   out.device_reads = cache->stats().reads.load();
   out.device_writes = cache->stats().writes.load();
-  MustFsck(**backend, "cached_latency");
+  out.fsck_clean = FsckClean(ffs, "cached_latency");
   return out;
 }
 
 struct FastResult {
   double phase_kb_s[5] = {0, 0, 0, 0, 0};
+  bool fsck_clean = false;
 };
 
 FastResult RunFastTier(size_t file_mb) {
@@ -229,7 +228,7 @@ FastResult RunFastTier(size_t file_mb) {
   for (int i = 0; i < 5; ++i) {
     out.phase_kb_s[i] = MustRun(**backend, phases[i], file_mb);
   }
-  MustFsck(**backend, "cached_fast");
+  out.fsck_clean = FsckClean(BackendFfs(**backend), "cached_fast");
   return out;
 }
 
@@ -330,65 +329,8 @@ NfsResult RunNfsTier() {
   std::printf("nfs read ops/s: 1t %.0f, 4t %.0f (scaling %.2fx)\n",
               out.ops_s_1t, out.ops_s_4t, out.scaling);
 
-  if (Status st = ffs->Sync(); !st.ok()) {
-    std::fprintf(stderr, "FATAL: nfs tier sync: %s\n", st.ToString().c_str());
-    std::exit(1);
-  }
-  auto report = ffs->Check();
-  if (!report.ok() || !report->clean()) {
-    std::fprintf(stderr, "FATAL: fsck after nfs tier not clean\n");
-    std::exit(1);
-  }
-  out.fsck_clean = true;
-  std::printf("fsck after nfs: clean\n");
+  out.fsck_clean = FsckClean(ffs, "nfs");
   return out;
-}
-
-void WriteJson(std::FILE* f, size_t file_mb, const UncachedResult& u,
-               const CachedResult& c, const FastResult& fast,
-               const NfsResult& nfs, double warm_read_speedup,
-               bool nfs_gate_enforced) {
-  std::fprintf(f, "{\n  \"bench\": \"storage_scaling\",\n");
-  std::fprintf(f, "  \"schema_version\": 1,\n");
-  std::fprintf(f, "  \"file_mb\": %zu,\n", file_mb);
-  std::fprintf(f,
-               "  \"latency_model\": {\"seek_us\": 100, \"transfer_us\": "
-               "10},\n");
-  std::fprintf(f,
-               "  \"uncached_latency\": {\"seq_output_block_kb_s\": %.0f, "
-               "\"seq_input_block_kb_s\": %.0f, \"fsck_clean\": true},\n",
-               u.write_kb_s, u.read_kb_s);
-  std::fprintf(
-      f,
-      "  \"cached_latency\": {\"seq_output_block_kb_s\": %.0f, "
-      "\"seq_input_block_cold_kb_s\": %.0f, "
-      "\"seq_input_block_warm_kb_s\": %.0f, \"seq_rewrite_kb_s\": %.0f, "
-      "\"rewrite_hit_rate\": %.4f, \"readaheads\": %llu, "
-      "\"writebacks\": %llu, \"device_reads\": %llu, "
-      "\"device_writes\": %llu, \"fsck_clean\": true},\n",
-      c.write_kb_s, c.read_cold_kb_s, c.read_warm_kb_s, c.rewrite_kb_s,
-      c.rewrite_hit_rate, static_cast<unsigned long long>(c.readaheads),
-      static_cast<unsigned long long>(c.writebacks),
-      static_cast<unsigned long long>(c.device_reads),
-      static_cast<unsigned long long>(c.device_writes));
-  std::fprintf(
-      f,
-      "  \"cached_fast\": {\"seq_output_char_kb_s\": %.0f, "
-      "\"seq_output_block_kb_s\": %.0f, \"seq_rewrite_kb_s\": %.0f, "
-      "\"seq_input_char_kb_s\": %.0f, \"seq_input_block_kb_s\": %.0f, "
-      "\"fsck_clean\": true},\n",
-      fast.phase_kb_s[0], fast.phase_kb_s[1], fast.phase_kb_s[2],
-      fast.phase_kb_s[3], fast.phase_kb_s[4]);
-  std::fprintf(f,
-               "  \"nfs\": {\"read_ops_s_1t\": %.0f, \"read_ops_s_4t\": "
-               "%.0f, \"scaling_1_to_4\": %.2f, \"gate_enforced\": %s, "
-               "\"fsck_clean\": %s},\n",
-               nfs.ops_s_1t, nfs.ops_s_4t, nfs.scaling,
-               nfs_gate_enforced ? "true" : "false",
-               nfs.fsck_clean ? "true" : "false");
-  std::fprintf(f, "  \"warm_read_speedup\": %.2f,\n", warm_read_speedup);
-  std::fprintf(f, "  \"rewrite_hit_rate\": %.4f,\n", c.rewrite_hit_rate);
-  std::fprintf(f, "  \"fsck_clean_all\": true\n}\n");
 }
 
 int Run(int argc, char** argv) {
@@ -407,51 +349,78 @@ int Run(int argc, char** argv) {
   const double warm_read_speedup =
       uncached.read_kb_s > 0 ? cached.read_warm_kb_s / uncached.read_kb_s
                              : 0;
-  const unsigned hw = std::thread::hardware_concurrency();
-  const bool nfs_gate_enforced = hw >= 4;
-
   std::printf("warm cached read vs uncached seed path: %.1fx\n",
               warm_read_speedup);
   std::printf("rewrite cache hit rate: %.1f%%\n",
               cached.rewrite_hit_rate * 100);
 
-  std::FILE* f = std::fopen(out_path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", out_path);
-    return 1;
-  }
-  WriteJson(f, file_mb, uncached, cached, fast, nfs, warm_read_speedup,
-            nfs_gate_enforced);
-  std::fclose(f);
-  std::printf("wrote %s\n", out_path);
+  Json latency_model = Json::Object();
+  latency_model.Set("seek_us", 100);
+  latency_model.Set("transfer_us", 10);
+  Json u = Json::Object();
+  u.Set("seq_output_block_kb_s", uncached.write_kb_s);
+  u.Set("seq_input_block_kb_s", uncached.read_kb_s);
+  u.Set("fsck_clean", uncached.fsck_clean);
+  Json c = Json::Object();
+  c.Set("seq_output_block_kb_s", cached.write_kb_s);
+  c.Set("seq_input_block_cold_kb_s", cached.read_cold_kb_s);
+  c.Set("seq_input_block_warm_kb_s", cached.read_warm_kb_s);
+  c.Set("seq_rewrite_kb_s", cached.rewrite_kb_s);
+  c.Set("rewrite_hit_rate", cached.rewrite_hit_rate);
+  c.Set("readaheads", cached.readaheads);
+  c.Set("writebacks", cached.writebacks);
+  c.Set("device_reads", cached.device_reads);
+  c.Set("device_writes", cached.device_writes);
+  c.Set("fsck_clean", cached.fsck_clean);
+  Json f = Json::Object();
+  f.Set("seq_output_char_kb_s", fast.phase_kb_s[0]);
+  f.Set("seq_output_block_kb_s", fast.phase_kb_s[1]);
+  f.Set("seq_rewrite_kb_s", fast.phase_kb_s[2]);
+  f.Set("seq_input_char_kb_s", fast.phase_kb_s[3]);
+  f.Set("seq_input_block_kb_s", fast.phase_kb_s[4]);
+  f.Set("fsck_clean", fast.fsck_clean);
+  Json n = Json::Object();
+  n.Set("read_ops_s_1t", nfs.ops_s_1t);
+  n.Set("read_ops_s_4t", nfs.ops_s_4t);
+  n.Set("scaling_1_to_4", nfs.scaling);
+  n.Set("fsck_clean", nfs.fsck_clean);
 
-  if (warm_read_speedup < 3.0) {
-    std::fprintf(stderr,
-                 "FATAL: warm cached read only %.2fx the uncached seed "
-                 "path — the cache is not eliding device I/O\n",
-                 warm_read_speedup);
-    return 1;
+  const int dirty_tiers = !uncached.fsck_clean + !cached.fsck_clean +
+                          !fast.fsck_clean + !nfs.fsck_clean;
+  double min_rate = GateMin(nfs.ops_s_1t, nfs.ops_s_4t);
+  for (double rate : {uncached.write_kb_s, uncached.read_kb_s}) {
+    min_rate = GateMin(min_rate, rate);
   }
-  if (cached.rewrite_hit_rate < 0.9) {
-    std::fprintf(stderr,
-                 "FATAL: rewrite hit rate %.1f%% < 90%% — the working set "
-                 "fell out of a cache sized to hold it\n",
-                 cached.rewrite_hit_rate * 100);
-    return 1;
+  for (double rate : {cached.write_kb_s, cached.read_cold_kb_s}) {
+    min_rate = GateMin(min_rate, rate);
   }
-  if (!nfs_gate_enforced) {
-    std::printf(
-        "WARNING: NFS concurrency gate SKIPPED (%u hardware threads < 4; "
-        "independent-file parallelism cannot show on this machine)\n",
-        hw);
-  } else if (nfs.scaling < 1.5) {
-    std::fprintf(stderr,
-                 "FATAL: NFS reads scaled only %.2fx from 1 to 4 threads — "
-                 "is the server back under a global mutex?\n",
-                 nfs.scaling);
-    return 1;
+  for (double rate : {cached.read_warm_kb_s, cached.rewrite_kb_s}) {
+    min_rate = GateMin(min_rate, rate);
   }
-  return 0;
+  for (double rate : fast.phase_kb_s) {
+    min_rate = GateMin(min_rate, rate);
+  }
+
+  Report report("storage_scaling");
+  report.Set("file_mb", file_mb);
+  report.Set("latency_model", std::move(latency_model));
+  report.Set("uncached_latency", std::move(u));
+  report.Set("cached_latency", std::move(c));
+  report.Set("cached_fast", std::move(f));
+  report.Set("nfs", std::move(n));
+  report.Set("warm_read_speedup", warm_read_speedup);
+  report.Set("rewrite_hit_rate", cached.rewrite_hit_rate);
+  report.Set("fsck_clean_all", dirty_tiers == 0);
+  // Warm reads must elide device I/O, and the rewrite pass must run out
+  // of a cache sized to hold the file.
+  report.AddGate("warm_read_speedup", warm_read_speedup, GateOp::kGe, 3);
+  report.AddGate("rewrite_hit_rate", cached.rewrite_hit_rate, GateOp::kGe, 0.9);
+  report.AddGate("dirty_fsck_tiers", dirty_tiers, GateOp::kEq, 0);
+  report.AddGate("min_throughput", min_rate, GateOp::kGt, 0);
+  // Reads of independent files must not serialize on one server lock;
+  // parallelism needs the cores to show.
+  report.AddGate("nfs.scaling_1_to_4", nfs.scaling, GateOp::kGe, 1.5, 4);
+  return report.Write(out_path);
 }
 
 }  // namespace

@@ -243,9 +243,19 @@ TEST(ObsServerStats, ScrapesLiveHostOverRpc) {
                                       admin.public_key());
   ASSERT_TRUE(client.ok()) << client.status();
 
-  // A prior RPC guarantees the scrape sees at least one fully recorded
+  // The server records a call's spans after its reply is sent, so the
+  // client can hold ServerInfo's reply before the call is recorded. Wait
+  // (at most 5 s) until it is: discfs_rpc_calls_total is bumped last, after
+  // the per-proc spans, so the scrape then sees at least one fully recorded
   // call with per-proc quantiles.
   ASSERT_TRUE((*client)->ServerInfo().ok());
+  obs::Counter* calls =
+      (*host)->server().metrics().GetCounter("discfs_rpc_calls_total");
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (calls->Value() == 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(calls->Value(), 1u);
 
   auto text = (*client)->ServerStats(/*json=*/false);
   ASSERT_TRUE(text.ok()) << text.status();

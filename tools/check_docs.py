@@ -9,10 +9,9 @@ Three checks, stdlib only:
 2. Link integrity — every relative markdown link in ARCHITECTURE.md,
    ROADMAP.md, docs/*.md, and the subsystem READMEs must resolve to a
    real file.
-3. Schema-doc drift — docs/BENCH_SCHEMAS.md must mention every bench
-   kind registered in tools/check_bench_schema.py's CHECKERS dict and
-   every required key in its *_KEYS sets, so the checker cannot gain
-   a requirement the documentation doesn't describe.
+3. Bench coverage — every bench kind passed to bench::Report in
+   bench/*.cc must have a "bench `<kind>`" section heading in
+   docs/BENCH_SCHEMAS.md, which lists that bench's gates.
 
 Exit non-zero with a per-finding list on any violation.
 
@@ -24,6 +23,7 @@ import re
 import sys
 
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+REPORT_RE = re.compile(r'\bReport\s+\w+\(\s*"([^"]+)"')
 FORMAT_MARKERS = (re.compile(r'#include\s+"src/wire/xdr\.h"'),
                   re.compile(r"on-disk", re.IGNORECASE))
 
@@ -94,36 +94,24 @@ def check_links(repo, errors):
                 errors.append(f"{rel_doc}: broken link -> {match.group(1)}")
 
 
-def check_schema_doc_drift(repo, errors):
-    sys.path.insert(0, os.path.join(repo, "tools"))
-    try:
-        import check_bench_schema
-    finally:
-        sys.path.pop(0)
+def check_bench_sections(repo, errors):
     doc_path = os.path.join(repo, "docs", "BENCH_SCHEMAS.md")
     if not os.path.isfile(doc_path):
         errors.append("docs/BENCH_SCHEMAS.md is missing")
         return
     with open(doc_path, encoding="utf-8") as f:
-        doc = f.read()
-    for kind in check_bench_schema.CHECKERS:
-        if kind not in doc:
-            errors.append(
-                f"docs/BENCH_SCHEMAS.md does not mention bench kind "
-                f"{kind!r}"
-            )
-    for attr in dir(check_bench_schema):
-        if not attr.endswith("_KEYS"):
+        headings = [line for line in f if line.startswith("#")]
+    bench_dir = os.path.join(repo, "bench")
+    for name in sorted(os.listdir(bench_dir)):
+        if not name.endswith(".cc"):
             continue
-        keys = getattr(check_bench_schema, attr)
-        if not isinstance(keys, (set, frozenset)):
-            continue
-        for key in sorted(keys):
-            if key not in doc:
+        with open(os.path.join(bench_dir, name), encoding="utf-8") as f:
+            kinds = REPORT_RE.findall(f.read())
+        for kind in kinds:
+            if not any(f"bench `{kind}`" in h for h in headings):
                 errors.append(
-                    f"docs/BENCH_SCHEMAS.md does not mention required key "
-                    f"{key!r} (from check_bench_schema.{attr})"
-                )
+                    f"docs/BENCH_SCHEMAS.md has no section for bench "
+                    f"{kind!r} (reported by bench/{name})")
 
 
 def main(argv):
@@ -132,13 +120,13 @@ def main(argv):
     errors = []
     check_readme_coverage(repo, errors)
     check_links(repo, errors)
-    check_schema_doc_drift(repo, errors)
+    check_bench_sections(repo, errors)
     if errors:
         print("check_docs.py: FAIL")
         for error in errors:
             print(f"  - {error}")
         return 1
-    print("check_docs.py: ok (readme coverage, links, schema docs)")
+    print("check_docs.py: ok (readme coverage, links, bench sections)")
     return 0
 
 

@@ -1,15 +1,17 @@
 #!/usr/bin/env bash
-# Builds the Release tree and runs the policy + RPC + coherence +
-# admission + storage + lockbox + observability + overload benchmarks,
-# leaving BENCH_policy.json, BENCH_rpc.json, BENCH_coherence.json,
-# BENCH_admission.json, BENCH_storage.json, BENCH_lockbox.json,
-# BENCH_obs.json, and BENCH_overload.json at the repo root (schemas:
-# docs/BENCH_SCHEMAS.md, enforced by tools/check_bench_schema.py).
+# Builds the Release tree and runs every bench: policy_scaling,
+# ablation_cache, rpc_pipeline, coherence_propagation, admission_scaling,
+# storage_scaling, lockbox_sharing, obs_overhead, overload_harness and
+# micro_ops. The eight gated benches write BENCH_<name>.json at the repo
+# root, each recording its gates (docs/BENCH_SCHEMAS.md), and
+# tools/check_bench_schema.py re-evaluates them all. A failing bench does
+# not stop the run: every bench runs, every failing gate is printed, and
+# the script exits 1 at the end.
 #
 # Usage: tools/run_bench.sh [max_credentials]
-#   max_credentials  cap the policy_scaling and admission_scaling sweeps
-#                    (default 10000)
-set -euo pipefail
+#   max_credentials  cap the policy_scaling, admission_scaling and
+#                    overload_harness corpora (default 10000)
+set -uo pipefail
 
 die() {
   echo "run_bench.sh: error: $*" >&2
@@ -24,68 +26,57 @@ repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 build_dir="$repo_root/build-release"
 max_credentials="${1:-10000}"
 
-cmake -B "$build_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Release
+cmake -B "$build_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Release ||
+  die "cmake configure failed"
 cmake --build "$build_dir" -j "$(nproc)" \
   --target policy_scaling ablation_cache rpc_pipeline \
   coherence_propagation admission_scaling storage_scaling \
-  lockbox_sharing obs_overhead overload_harness micro_ops
+  lockbox_sharing obs_overhead overload_harness micro_ops ||
+  die "build failed"
 
-echo "--- policy_scaling (writes BENCH_policy.json) ---"
-"$build_dir/policy_scaling" "$repo_root/BENCH_policy.json" "$max_credentials"
+failures=()
+reports=()
 
-echo "--- ablation_cache ---"
-"$build_dir/ablation_cache"
+# run NAME [ARGS...]: runs one bench binary; a non-zero exit is recorded.
+run() {
+  local name="$1"
+  shift
+  echo "--- $name ---"
+  "$build_dir/$name" "$@" || failures+=("$name exited non-zero")
+}
 
-echo "--- rpc_pipeline (writes BENCH_rpc.json; fails below 3x pipelining"
-echo "    speedup or when 64->256 connections grows the thread count) ---"
-"$build_dir/rpc_pipeline" "$repo_root/BENCH_rpc.json"
+# gated NAME REPORT [ARGS...]: runs a bench that writes BENCH_<REPORT>.json.
+# The old report is removed first so a crash cannot leave a stale pass.
+gated() {
+  local name="$1" report="$repo_root/BENCH_$2.json"
+  shift 2
+  rm -f "$report"
+  reports+=("$report")
+  run "$name" "$report" "$@"
+}
 
-echo "--- coherence_propagation (writes BENCH_coherence.json; fails when"
-echo "    remote invalidation stops being scoped: survivors < 0.9) ---"
-"$build_dir/coherence_propagation" "$repo_root/BENCH_coherence.json"
-
-echo "--- admission_scaling (writes BENCH_admission.json; fails below 2x"
-echo "    verify speedup or, on >= 4 cores, below 2x admit scaling) ---"
-"$build_dir/admission_scaling" "$repo_root/BENCH_admission.json" \
-  "$max_credentials"
-
-echo "--- storage_scaling (writes BENCH_storage.json; fails below 3x warm"
-echo "    cached read speedup, below 90% rewrite hit rate, or a dirty"
-echo "    fsck; one tier runs with the device latency model enabled) ---"
-"$build_dir/storage_scaling" "$repo_root/BENCH_storage.json"
-
-echo "--- lockbox_sharing (writes BENCH_lockbox.json; fails below 0.9"
-echo "    public dedup ratio, on any sealed-chunk dedup hit, or when a"
-echo "    revoked device's lockbox fetch is not denied cluster-wide) ---"
-"$build_dir/lockbox_sharing" "$repo_root/BENCH_lockbox.json"
-
-echo "--- obs_overhead (writes BENCH_obs.json; fails when the enabled"
-echo "    metrics registry costs > 5% on pipelined RPC or warm admission,"
-echo "    or when a live kServerStats scrape comes back incomplete) ---"
-"$build_dir/obs_overhead" "$repo_root/BENCH_obs.json"
-
-echo "--- overload_harness (writes BENCH_overload.json; fails on any"
-echo "    control-plane shed under data-plane overload, any expired"
-echo "    request executed past its deadline, or when a handshake flood"
-echo "    reaches the worker pool or locks out a legitimate client) ---"
-"$build_dir/overload_harness" "$repo_root/BENCH_overload.json" \
-  "$max_credentials"
-
-echo "--- micro_ops (self-timed core-primitive microbenchmarks) ---"
-"$build_dir/micro_ops"
+gated policy_scaling policy "$max_credentials"
+run ablation_cache
+gated rpc_pipeline rpc
+gated coherence_propagation coherence
+gated admission_scaling admission "$max_credentials"
+gated storage_scaling storage
+gated lockbox_sharing lockbox
+gated obs_overhead obs
+gated overload_harness overload "$max_credentials"
+run micro_ops
 
 if command -v python3 >/dev/null 2>&1; then
-  echo "--- schema validation ---"
-  python3 "$repo_root/tools/check_bench_schema.py" \
-    "$repo_root/BENCH_policy.json" "$repo_root/BENCH_rpc.json" \
-    "$repo_root/BENCH_coherence.json" "$repo_root/BENCH_admission.json" \
-    "$repo_root/BENCH_storage.json" "$repo_root/BENCH_lockbox.json" \
-    "$repo_root/BENCH_obs.json" "$repo_root/BENCH_overload.json"
+  echo "--- gate check ---"
+  python3 "$repo_root/tools/check_bench_schema.py" "${reports[@]}" ||
+    failures+=("gate check failed (failing gates listed above)")
 else
-  echo "warning: python3 not found; skipping bench schema validation" >&2
+  echo "warning: python3 not found; skipping the gate check" >&2
 fi
 
-echo "done: $repo_root/BENCH_policy.json $repo_root/BENCH_rpc.json" \
-  "$repo_root/BENCH_coherence.json $repo_root/BENCH_admission.json" \
-  "$repo_root/BENCH_storage.json $repo_root/BENCH_lockbox.json" \
-  "$repo_root/BENCH_obs.json $repo_root/BENCH_overload.json"
+if ((${#failures[@]} > 0)); then
+  echo "run_bench.sh: ${#failures[@]} failure(s):"
+  printf '  %s\n' "${failures[@]}"
+  exit 1
+fi
+echo "done: ${reports[*]}"
