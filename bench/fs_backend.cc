@@ -4,7 +4,6 @@
 #include "src/crypto/sysrand.h"
 #include "src/discfs/credentials.h"
 #include "src/net/shaper.h"
-#include "src/util/strings.h"
 
 namespace discfs::bench {
 namespace {
@@ -15,20 +14,8 @@ Result<std::shared_ptr<FfsVfs>> MakeVolume(const BackendOptions& opts) {
   FfsFormatOptions format;
   format.inode_count = opts.inode_count;
   format.mount.cache.capacity_blocks = opts.cache_blocks;
-  format.mount.cache.readahead_blocks = opts.readahead_blocks;
   ASSIGN_OR_RETURN(std::unique_ptr<Ffs> fs, Ffs::Format(dev, format));
   return std::make_shared<FfsVfs>(std::move(fs));
-}
-
-// Splits "/a/b/c" into components.
-std::vector<std::string> PathParts(const std::string& path) {
-  std::vector<std::string> parts;
-  for (const std::string& p : StrSplit(path, '/')) {
-    if (!p.empty()) {
-      parts.push_back(p);
-    }
-  }
-  return parts;
 }
 
 // ---------------------------------------------------------------- FFS
@@ -71,31 +58,6 @@ class FfsBackend : public FsBackend {
     return vfs_->Remove(vfs_->root(), name);
   }
 
-  Status MakeDirPath(const std::string& path) override {
-    return MkdirAll(*vfs_, path, 0755).status();
-  }
-
-  Status WriteWholeFile(const std::string& path,
-                        const std::string& contents) override {
-    return WriteFileAt(*vfs_, path, contents);
-  }
-
-  Result<std::string> ReadWholeFile(const std::string& path) override {
-    return ReadFileAt(*vfs_, path);
-  }
-
-  Result<std::vector<std::pair<std::string, bool>>> ListDir(
-      const std::string& path) override {
-    ASSIGN_OR_RETURN(InodeAttr dir, ResolvePath(*vfs_, path));
-    ASSIGN_OR_RETURN(std::vector<DirEntry> entries, vfs_->ReadDir(dir.inode));
-    std::vector<std::pair<std::string, bool>> out;
-    out.reserve(entries.size());
-    for (const DirEntry& e : entries) {
-      out.emplace_back(e.name, e.type == FileType::kDirectory);
-    }
-    return out;
-  }
-
   FfsVfs* vfs() { return vfs_.get(); }
 
  private:
@@ -104,9 +66,10 @@ class FfsBackend : public FsBackend {
 
 // -------------------------------------------------------- remote (shared)
 
-// Path machinery shared by the two remote backends, parameterized over an
-// NfsClient and a create function (DisCFS uses the credential-returning
-// CREATE).
+// File operations shared by the two remote backends, over their
+// NfsClient. DisCFS creates files with plain NFS CREATE too: the
+// benchmark user's blanket credential already covers new files, so there
+// is no need to mint one per file.
 class RemoteBackendBase : public FsBackend {
  public:
   Result<BenchFile> CreateFile(const std::string& name) override {
@@ -118,7 +81,7 @@ class RemoteBackendBase : public FsBackend {
       RETURN_IF_ERROR(nfs().SetAttr(existing->fh, truncate).status());
       return BenchFile{existing->fh};
     }
-    ASSIGN_OR_RETURN(NfsFattr attr, DoCreate(root, name));
+    ASSIGN_OR_RETURN(NfsFattr attr, nfs().Create(root, name, 0644));
     return BenchFile{attr.fh};
   }
 
@@ -146,80 +109,8 @@ class RemoteBackendBase : public FsBackend {
     return nfs().Remove(root, name);
   }
 
-  Status MakeDirPath(const std::string& path) override {
-    ASSIGN_OR_RETURN(NfsFh dir, Root());
-    std::string walked;
-    for (const std::string& part : PathParts(path)) {
-      walked += "/" + part;
-      auto found = nfs().Lookup(dir, part);
-      if (found.ok()) {
-        dir = found->fh;
-        continue;
-      }
-      ASSIGN_OR_RETURN(NfsFattr made, DoMkdir(dir, part));
-      dir = made.fh;
-      dir_cache_[walked] = dir;
-    }
-    return OkStatus();
-  }
-
-  Status WriteWholeFile(const std::string& path,
-                        const std::string& contents) override {
-    ASSIGN_OR_RETURN(auto parent_leaf, ResolveParentFh(path));
-    auto [parent, leaf] = parent_leaf;
-    NfsFh fh;
-    auto existing = nfs().Lookup(parent, leaf);
-    if (existing.ok()) {
-      fh = existing->fh;
-      SetAttrRequest truncate;
-      truncate.size = 0;
-      RETURN_IF_ERROR(nfs().SetAttr(fh, truncate).status());
-    } else {
-      ASSIGN_OR_RETURN(NfsFattr attr, DoCreate(parent, leaf));
-      fh = attr.fh;
-    }
-    Bytes data(contents.begin(), contents.end());
-    return nfs().Write(fh, 0, data).status();
-  }
-
-  Result<std::string> ReadWholeFile(const std::string& path) override {
-    ASSIGN_OR_RETURN(auto parent_leaf, ResolveParentFh(path));
-    auto [parent, leaf] = parent_leaf;
-    ASSIGN_OR_RETURN(NfsFattr attr, nfs().Lookup(parent, leaf));
-    std::string out;
-    out.reserve(attr.size);
-    uint64_t offset = 0;
-    while (offset < attr.size) {
-      uint32_t chunk = static_cast<uint32_t>(
-          std::min<uint64_t>(attr.size - offset, 1 << 16));
-      ASSIGN_OR_RETURN(Bytes data, nfs().Read(attr.fh, offset, chunk));
-      if (data.empty()) {
-        break;
-      }
-      out.append(data.begin(), data.end());
-      offset += data.size();
-    }
-    return out;
-  }
-
-  Result<std::vector<std::pair<std::string, bool>>> ListDir(
-      const std::string& path) override {
-    ASSIGN_OR_RETURN(NfsFh dir, ResolveDirFh(path));
-    ASSIGN_OR_RETURN(std::vector<NfsDirEntry> entries, nfs().ReadDir(dir));
-    std::vector<std::pair<std::string, bool>> out;
-    out.reserve(entries.size());
-    for (const NfsDirEntry& e : entries) {
-      out.emplace_back(e.name, e.type == FileType::kDirectory);
-    }
-    return out;
-  }
-
  protected:
   virtual NfsClient& nfs() = 0;
-  virtual Result<NfsFattr> DoCreate(const NfsFh& dir,
-                                    const std::string& name) = 0;
-  virtual Result<NfsFattr> DoMkdir(const NfsFh& dir,
-                                   const std::string& name) = 0;
 
   Result<NfsFh> Root() {
     if (!root_.has_value()) {
@@ -229,44 +120,8 @@ class RemoteBackendBase : public FsBackend {
     return *root_;
   }
 
-  Result<NfsFh> ResolveDirFh(const std::string& path) {
-    auto cached = dir_cache_.find(path);
-    if (cached != dir_cache_.end()) {
-      return cached->second;
-    }
-    ASSIGN_OR_RETURN(NfsFh dir, Root());
-    std::string walked;
-    for (const std::string& part : PathParts(path)) {
-      walked += "/" + part;
-      ASSIGN_OR_RETURN(NfsFattr attr, nfs().Lookup(dir, part));
-      dir = attr.fh;
-      dir_cache_[walked] = dir;
-    }
-    return dir;
-  }
-
-  Result<std::pair<NfsFh, std::string>> ResolveParentFh(
-      const std::string& path) {
-    std::vector<std::string> parts = PathParts(path);
-    if (parts.empty()) {
-      return InvalidArgumentError("no leaf in path");
-    }
-    std::string leaf = parts.back();
-    std::string parent_path;
-    for (size_t i = 0; i + 1 < parts.size(); ++i) {
-      parent_path += "/" + parts[i];
-    }
-    if (parent_path.empty()) {
-      ASSIGN_OR_RETURN(NfsFh root, Root());
-      return std::make_pair(root, leaf);
-    }
-    ASSIGN_OR_RETURN(NfsFh dir, ResolveDirFh(parent_path));
-    return std::make_pair(dir, leaf);
-  }
-
  private:
   std::optional<NfsFh> root_;
-  std::map<std::string, NfsFh> dir_cache_;
 };
 
 // ---------------------------------------------------------------- CFS-NE
@@ -286,14 +141,6 @@ class CfsNeBackend : public RemoteBackendBase {
 
  protected:
   NfsClient& nfs() override { return *client_; }
-  Result<NfsFattr> DoCreate(const NfsFh& dir,
-                            const std::string& name) override {
-    return client_->Create(dir, name, 0644);
-  }
-  Result<NfsFattr> DoMkdir(const NfsFh& dir,
-                           const std::string& name) override {
-    return client_->Mkdir(dir, name, 0755);
-  }
 
  private:
   std::unique_ptr<CfsNeHost> host_;
@@ -315,23 +162,8 @@ class DiscfsBackend : public RemoteBackendBase {
 
   std::string name() const override { return "DisCFS"; }
 
-  DiscfsServer* server() { return &host_->server(); }
-
  protected:
   NfsClient& nfs() override { return client_->nfs(); }
-  Result<NfsFattr> DoCreate(const NfsFh& dir,
-                            const std::string& name) override {
-    // Plain NFS CREATE: the benchmark user's blanket credential already
-    // covers new files, so there is no need to mint one per file. (Doing so
-    // would also grow the KeyNote session linearly with the tree and every
-    // cold policy evaluation is O(session size) — see the
-    // BM_KeyNoteQuerySessionSize micro-benchmark.)
-    return client_->nfs().Create(dir, name, 0644);
-  }
-  Result<NfsFattr> DoMkdir(const NfsFh& dir,
-                           const std::string& name) override {
-    return client_->nfs().Mkdir(dir, name, 0755);
-  }
 
  private:
   std::unique_ptr<DiscfsHost> host_;
@@ -372,8 +204,8 @@ Result<std::unique_ptr<FsBackend>> MakeDiscfsBackend(
 
   DiscfsServerConfig config;
   config.server_key = admin_key;
-  config.policy_cache_size = opts.policy_cache_size;
-  config.policy_cache_ttl_s = opts.policy_cache_ttl_s;
+  config.policy_cache_size = 128;  // the paper's search setting
+  config.policy_cache_ttl_s = 3600;
   ASSIGN_OR_RETURN(std::unique_ptr<DiscfsHost> host,
                    DiscfsHost::Start(std::move(vfs), std::move(config)));
 
@@ -413,11 +245,6 @@ Result<std::vector<std::unique_ptr<FsBackend>>> MakeAllBackends(
   ASSIGN_OR_RETURN(std::unique_ptr<FsBackend> dis, MakeDiscfsBackend(opts));
   backends.push_back(std::move(dis));
   return backends;
-}
-
-DiscfsServer* BackendDiscfsServer(FsBackend& backend) {
-  auto* discfs = dynamic_cast<DiscfsBackend*>(&backend);
-  return discfs == nullptr ? nullptr : discfs->server();
 }
 
 Ffs* BackendFfs(FsBackend& backend) {

@@ -12,7 +12,6 @@
 #ifndef DISCFS_BENCH_FS_BACKEND_H_
 #define DISCFS_BENCH_FS_BACKEND_H_
 
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -32,14 +31,10 @@ struct BackendOptions {
   // Device sizing.
   uint64_t device_mib = 256;
   uint32_t inode_count = 65536;
-  // DisCFS knobs.
-  size_t policy_cache_size = 128;  // paper's Figure 12 setting
-  int64_t policy_cache_ttl_s = 3600;
   // Storage data-plane knobs: block-cache capacity (0 = uncached seed
-  // path), readahead window, and an optional device latency model so the
-  // cache's I/O elision is visible in wall-clock time.
+  // path) and an optional device latency model so the cache's I/O
+  // elision is visible in wall-clock time.
   size_t cache_blocks = 4096;
-  size_t readahead_blocks = 8;
   LatencyModel latency;
 };
 
@@ -56,16 +51,6 @@ class FsBackend {
   virtual Result<size_t> ReadAt(const BenchFile& f, uint64_t offset,
                                 uint8_t* buf, size_t len) = 0;
   virtual Status RemoveFile(const std::string& name) = 0;
-
-  // Tree operations for the search benchmark (absolute paths, '/'-separated,
-  // relative to the store root).
-  virtual Status MakeDirPath(const std::string& path) = 0;
-  virtual Status WriteWholeFile(const std::string& path,
-                                const std::string& contents) = 0;
-  virtual Result<std::string> ReadWholeFile(const std::string& path) = 0;
-  // Lists (name, is_dir) pairs.
-  virtual Result<std::vector<std::pair<std::string, bool>>> ListDir(
-      const std::string& path) = 0;
 };
 
 // Factories. Each owns everything it needs (volume, hosts, clients).
@@ -78,9 +63,6 @@ Result<std::unique_ptr<FsBackend>> MakeDiscfsBackend(
 // All three, in the paper's presentation order.
 Result<std::vector<std::unique_ptr<FsBackend>>> MakeAllBackends(
     const BackendOptions& opts);
-
-// DisCFS-only introspection for cache studies; null for other backends.
-DiscfsServer* BackendDiscfsServer(FsBackend& backend);
 
 // FFS-backend introspection (block-cache stats, Sync, Check); null for the
 // remote backends, whose volume lives behind the host.

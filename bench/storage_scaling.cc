@@ -5,10 +5,9 @@
 //   uncached_latency — the seed path: no block cache, device latency model
 //                      on (seek + transfer). The baseline the cache is
 //                      gated against.
-//   cached_latency   — block cache + readahead over the same modeled
-//                      device: warm sequential reads must elide device
-//                      I/O entirely, and the bonnie rewrite pass must run
-//                      out of cache.
+//   cached_latency   — block cache over the same modeled device: warm
+//                      sequential reads must elide device I/O entirely,
+//                      and the bonnie rewrite pass must run out of cache.
 //   cached_fast      — latency model off: the pure software-overhead
 //                      numbers, full bonnie phase set.
 //   nfs              — concurrent 4 KiB-block reads of independent files
@@ -76,7 +75,6 @@ BackendOptions TierOptions(size_t file_mb, bool cached, bool latency) {
   // Cache sized to hold the whole bonnie file plus metadata, so the
   // rewrite pass can run fully warm.
   opts.cache_blocks = cached ? file_mb * 1024 * 1024 / 4096 * 2 + 512 : 0;
-  opts.readahead_blocks = cached ? 8 : 0;
   if (latency) {
     opts.latency = BenchLatency();
   }
@@ -155,7 +153,6 @@ struct CachedResult {
   double read_warm_kb_s = 0;
   double rewrite_kb_s = 0;
   double rewrite_hit_rate = 0;
-  uint64_t readaheads = 0;
   uint64_t writebacks = 0;
   uint64_t device_reads = 0;
   uint64_t device_writes = 0;
@@ -199,7 +196,6 @@ CachedResult RunCachedTier(size_t file_mb) {
   out.rewrite_hit_rate =
       hits + misses == 0 ? 0.0
                          : static_cast<double>(hits) / (hits + misses);
-  out.readaheads = cs.readaheads.load();
   out.writebacks = cs.writebacks.load();
   out.device_reads = cache->stats().reads.load();
   out.device_writes = cache->stats().writes.load();
@@ -367,7 +363,6 @@ int Run(int argc, char** argv) {
   c.Set("seq_input_block_warm_kb_s", cached.read_warm_kb_s);
   c.Set("seq_rewrite_kb_s", cached.rewrite_kb_s);
   c.Set("rewrite_hit_rate", cached.rewrite_hit_rate);
-  c.Set("readaheads", cached.readaheads);
   c.Set("writebacks", cached.writebacks);
   c.Set("device_reads", cached.device_reads);
   c.Set("device_writes", cached.device_writes);

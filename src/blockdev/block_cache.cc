@@ -10,15 +10,9 @@
 namespace discfs {
 namespace {
 
-size_t DeriveShards(size_t capacity_blocks, size_t requested) {
-  if (requested != 0) {
-    // Round down to a power of two, clamp to [1, 16].
-    size_t shards = 1;
-    while (shards * 2 <= requested && shards < 16) shards *= 2;
-    return shards;
-  }
-  // ~64 blocks per shard, power of two, at most 16 shards; one shard
-  // for small capacities (same sizing rule as the signature cache).
+// ~64 blocks per shard, power of two, at most 16 shards; one shard for
+// small capacities (same sizing rule as the signature cache).
+size_t DeriveShards(size_t capacity_blocks) {
   size_t shards = 1;
   while (shards < 16 && capacity_blocks / (shards * 2) >= 64) shards *= 2;
   return shards;
@@ -30,7 +24,7 @@ BlockCache::BlockCache(std::shared_ptr<BlockDevice> base,
                        BlockCacheOptions opts)
     : base_(std::move(base)), opts_(opts), block_size_(base_->block_size()) {
   if (opts_.capacity_blocks < 8) opts_.capacity_blocks = 8;
-  size_t shards = DeriveShards(opts_.capacity_blocks, opts_.num_shards);
+  size_t shards = DeriveShards(opts_.capacity_blocks);
   shard_mask_ = shards - 1;
   shard_capacity_ = std::max<size_t>(4, opts_.capacity_blocks / shards);
   shards_.reserve(shards);
@@ -125,19 +119,14 @@ Status BlockCache::Read(uint64_t block, uint8_t* buf) {
     return OutOfRangeError(StrPrintf("cache read past device end: block %llu",
                                      static_cast<unsigned long long>(block)));
   }
-  {
-    Shard& shard = ShardFor(block);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    Entry* entry = nullptr;
-    Status st = GetEntryLocked(shard, block, /*fill_from_device=*/true, &entry);
-    if (!st.ok()) {
-      return st;
-    }
-    std::memcpy(buf, entry->data.data(), block_size_);
+  Shard& shard = ShardFor(block);
+  std::lock_guard<std::mutex> lock(shard.mu);
+  Entry* entry = nullptr;
+  Status st = GetEntryLocked(shard, block, /*fill_from_device=*/true, &entry);
+  if (!st.ok()) {
+    return st;
   }
-  if (opts_.readahead_blocks > 0) {
-    NoteSequentialRead(block);
-  }
+  std::memcpy(buf, entry->data.data(), block_size_);
   return OkStatus();
 }
 
@@ -262,7 +251,6 @@ void BlockCache::RegisterMetrics(obs::MetricsRegistry* registry) {
             {"kind=\"misses\"", load(cache_stats_.misses)},
             {"kind=\"evictions\"", load(cache_stats_.evictions)},
             {"kind=\"writebacks\"", load(cache_stats_.writebacks)},
-            {"kind=\"readaheads\"", load(cache_stats_.readaheads)},
             {"kind=\"sync_flushes\"", load(cache_stats_.sync_flushes)},
             {"kind=\"dropped_dirty\"", load(cache_stats_.dropped_dirty)},
         };
@@ -277,67 +265,6 @@ void BlockCache::RegisterMetrics(obs::MetricsRegistry* registry) {
                             return std::vector<obs::GaugeSample>{
                                 {"", static_cast<double>(cached_blocks())}};
                           });
-}
-
-void BlockCache::NoteSequentialRead(uint64_t block) {
-  uint64_t ra_begin = 0;
-  uint64_t ra_end = 0;
-  {
-    std::lock_guard<std::mutex> lock(ra_mu_);
-    Stream* stream = nullptr;
-    for (auto& s : streams_) {
-      if (s.next_block == block) {
-        stream = &s;
-        break;
-      }
-    }
-    if (stream == nullptr) {
-      // New (or broken) stream: claim a slot round-robin and start a run.
-      stream = &streams_[stream_clock_++ % kStreams];
-      stream->next_block = block + 1;
-      stream->run_len = 1;
-      stream->prefetched_to = block + 1;
-      return;
-    }
-    stream->next_block = block + 1;
-    stream->run_len++;
-    if (stream->run_len < 2) {
-      return;
-    }
-    // Confirmed sequential: keep the window opts_.readahead_blocks
-    // ahead of the cursor, never re-prefetching what we already did.
-    uint64_t want_end = block + 1 + opts_.readahead_blocks;
-    want_end = std::min<uint64_t>(want_end, base_->block_count());
-    if (want_end <= stream->prefetched_to) {
-      return;
-    }
-    ra_begin = std::max(block + 1, stream->prefetched_to);
-    ra_end = want_end;
-    stream->prefetched_to = want_end;
-  }
-  PrefetchRange(ra_begin, ra_end);
-}
-
-void BlockCache::PrefetchRange(uint64_t begin, uint64_t end) {
-  for (uint64_t block = begin; block < end; ++block) {
-    Shard& shard = ShardFor(block);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    if (shard.map.count(block) != 0) {
-      continue;
-    }
-    if (!EvictIfFullLocked(shard).ok()) {
-      return;
-    }
-    Entry& entry = shard.map[block];
-    entry.data.resize(block_size_);
-    if (!base_->Read(block, entry.data.data()).ok()) {
-      shard.map.erase(block);
-      return;
-    }
-    shard.lru.push_front(block);
-    entry.lru_it = shard.lru.begin();
-    cache_stats_.readaheads.fetch_add(1, std::memory_order_relaxed);
-  }
 }
 
 Status BlockCache::FlushSome(size_t max_blocks, uint64_t* flushed) {

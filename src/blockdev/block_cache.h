@@ -1,10 +1,12 @@
-// Sharded write-back block cache with sequential readahead.
+// Sharded write-back block cache.
 //
 // Sits between Ffs and a backing BlockDevice. Same shard idiom as
 // PolicyCache / VerifiedSignatureCache: N independent shards, each a
 // mutex + LRU list + hash map, so unrelated blocks never contend.
 // Consecutive blocks map to the same shard in groups of 8 so a
-// sequential scan (and its readahead) stays shard-local.
+// sequential scan stays on one shard lock for 8 blocks at a time. A
+// read takes only its own shard's lock, and a miss reads exactly the
+// block asked for.
 //
 // Write policy is write-back: Write()/Modify() dirty the cached copy
 // without touching the device. Dirty blocks reach the device via
@@ -48,13 +50,9 @@ class MetricsRegistry;
 }  // namespace obs
 
 struct BlockCacheOptions {
-  // Total cached blocks across all shards.
+  // Total cached blocks across all shards. The shard count follows from
+  // it: ~64 blocks per shard, a power of two, at most 16.
   size_t capacity_blocks = 1024;
-  // 0 = derived from capacity (~64 blocks/shard, power of two, <= 16).
-  size_t num_shards = 0;
-  // Blocks prefetched ahead of a detected sequential read stream.
-  // 0 disables readahead.
-  size_t readahead_blocks = 8;
   // Flusher wakes when this many blocks are dirty. 0 = capacity/4.
   size_t flush_watermark = 0;
   // Periodic flush interval. 0 disables the periodic wakeup (the
@@ -70,6 +68,7 @@ struct BlockCacheStats {
   std::atomic<uint64_t> misses{0};
   std::atomic<uint64_t> evictions{0};
   std::atomic<uint64_t> writebacks{0};
+  // Always 0: no prefetch. Read by benchmark/ as blockdev.readaheads.
   std::atomic<uint64_t> readaheads{0};
   std::atomic<uint64_t> sync_flushes{0};
   std::atomic<uint64_t> dropped_dirty{0};
@@ -131,16 +130,9 @@ class BlockCache : public BlockDevice {
     // Front = most recently used.
     std::list<uint64_t> lru;
   };
-  // Readahead stream detector: a small table of recent access cursors.
-  struct Stream {
-    uint64_t next_block = ~0ULL;  // expected next sequential block
-    uint64_t prefetched_to = 0;   // exclusive upper bound of prefetch
-    uint32_t run_len = 0;
-  };
-
   Shard& ShardFor(uint64_t block) {
-    // Group 8 consecutive blocks per shard so sequential runs and their
-    // readahead stay mostly shard-local.
+    // Group 8 consecutive blocks per shard so a sequential scan takes
+    // each shard lock for a run of blocks, not one block at a time.
     return *shards_[(block >> 3) & shard_mask_];
   }
 
@@ -150,9 +142,6 @@ class BlockCache : public BlockDevice {
   Status EvictIfFullLocked(Shard& shard);
   Status WritebackLocked(uint64_t block, Entry& entry);
   void TouchLocked(Shard& shard, uint64_t block, Entry& entry);
-
-  void NoteSequentialRead(uint64_t block);
-  void PrefetchRange(uint64_t begin, uint64_t end);
 
   Status FlushSome(size_t max_blocks, uint64_t* flushed);
   void FlusherMain();
@@ -166,11 +155,6 @@ class BlockCache : public BlockDevice {
 
   std::atomic<size_t> dirty_count_{0};
   BlockCacheStats cache_stats_;
-
-  std::mutex ra_mu_;
-  static constexpr size_t kStreams = 8;
-  Stream streams_[kStreams];
-  size_t stream_clock_ = 0;
 
   std::mutex flusher_mu_;
   std::condition_variable flusher_cv_;

@@ -17,6 +17,7 @@ constexpr uint32_t kMagic = 0xD15CF501;
 constexpr uint32_t kInodeSize = 128;
 constexpr uint32_t kDirEntrySize = 64;
 constexpr size_t kDirectBlocks = 10;
+constexpr size_t kInodeCacheEntries = 1024;
 
 uint32_t LoadU32(const uint8_t* p) {
   uint32_t v;
@@ -221,7 +222,8 @@ struct Ffs::InodeCache {
 };
 
 Ffs::Ffs(std::shared_ptr<BlockDevice> device, const FfsMountOptions& options)
-    : now_([] { return SystemClock::Get()->NowUnix(); }) {
+    : now_([] { return SystemClock::Get()->NowUnix(); }),
+      icache_(std::make_unique<InodeCache>(kInodeCacheEntries)) {
   if (options.cache.capacity_blocks > 0) {
     auto cache = std::make_shared<BlockCache>(std::move(device),
                                               options.cache);
@@ -229,9 +231,6 @@ Ffs::Ffs(std::shared_ptr<BlockDevice> device, const FfsMountOptions& options)
     dev_ = std::move(cache);
   } else {
     dev_ = std::move(device);
-  }
-  if (options.inode_cache_entries > 0) {
-    icache_ = std::make_unique<InodeCache>(options.inode_cache_entries);
   }
 }
 
@@ -401,11 +400,9 @@ Result<Ffs::DiskInode> Ffs::ReadInode(InodeNum inode) {
   if (inode == 0 || inode >= sb_->inode_count) {
     return InvalidArgumentError(StrPrintf("inode %u out of range", inode));
   }
-  if (icache_ != nullptr) {
-    DiskInode cached;
-    if (icache_->Get(inode, &cached)) {
-      return cached;
-    }
+  DiskInode cached;
+  if (icache_->Get(inode, &cached)) {
+    return cached;
   }
   const uint32_t inodes_per_block = sb_->block_size / kInodeSize;
   uint64_t block = sb_->inode_table_start + inode / inodes_per_block;
@@ -413,23 +410,18 @@ Result<Ffs::DiskInode> Ffs::ReadInode(InodeNum inode) {
   std::vector<uint8_t> buf(sb_->block_size);
   RETURN_IF_ERROR(dev_->Read(block, buf.data()));
   DiskInode node = DiskInode::Deserialize(buf.data() + offset);
-  if (icache_ != nullptr) {
-    // Fill without overwriting: a concurrent WriteInode may have installed
-    // a newer copy than the block we just read — that copy wins.
-    DiskInode winner;
-    icache_->Put(inode, node, /*overwrite=*/false, &winner);
-    return winner;
-  }
-  return node;
+  // Fill without overwriting: a concurrent WriteInode may have installed
+  // a newer copy than the block we just read — that copy wins.
+  DiskInode winner;
+  icache_->Put(inode, node, /*overwrite=*/false, &winner);
+  return winner;
 }
 
 Status Ffs::WriteInode(InodeNum inode, const DiskInode& node) {
   const uint32_t inodes_per_block = sb_->block_size / kInodeSize;
   uint64_t block = sb_->inode_table_start + inode / inodes_per_block;
   uint32_t offset = (inode % inodes_per_block) * kInodeSize;
-  if (icache_ != nullptr) {
-    icache_->Put(inode, node, /*overwrite=*/true, nullptr);
-  }
+  icache_->Put(inode, node, /*overwrite=*/true, nullptr);
   // Patch only this inode's 128 bytes so concurrent updates of other
   // inodes sharing the block cannot be lost.
   return ModifyBlock(
@@ -461,7 +453,7 @@ Result<InodeNum> Ffs::AllocInode(FileType type, uint32_t mode) {
 
 Status Ffs::FreeInode(InodeNum inode) {
   ASSIGN_OR_RETURN(DiskInode node, ReadInode(inode));
-  RETURN_IF_ERROR(FreeAllBlocks(node));  // takes alloc_mu_ per block
+  RETURN_IF_ERROR(FreeBlocksFrom(node, 0));  // takes alloc_mu_ per block
   node.type = static_cast<uint8_t>(FileType::kFree);
   node.size = 0;
   node.nlink = 0;
@@ -582,88 +574,60 @@ Result<uint64_t> Ffs::BMap(DiskInode& node, uint64_t file_block, bool allocate,
   return OutOfRangeError("file offset beyond maximum file size");
 }
 
-Status Ffs::FreeAllBlocks(DiskInode& node) {
-  const uint64_t ppb = sb_->block_size / 4;
-  for (size_t i = 0; i < kDirectBlocks; ++i) {
-    if (node.direct[i] != 0) {
-      RETURN_IF_ERROR(FreeBlock(node.direct[i]));
-      node.direct[i] = 0;
-    }
+Status Ffs::FreeSubtree(uint32_t* ptr, uint64_t span, uint64_t first) {
+  if (*ptr == 0 || first >= span) {
+    return OkStatus();
   }
-  auto free_indirect = [&](uint32_t block) -> Status {
+  if (span > 1) {
+    const uint64_t ppb = sb_->block_size / 4;
+    const uint64_t child_span = span / ppb;
+    const uint64_t first_slot = first / child_span;
     std::vector<uint8_t> buf(sb_->block_size);
-    RETURN_IF_ERROR(dev_->Read(block, buf.data()));
-    for (uint64_t i = 0; i < ppb; ++i) {
-      uint32_t ptr = LoadU32(buf.data() + 4 * i);
-      if (ptr != 0) {
-        RETURN_IF_ERROR(FreeBlock(ptr));
-      }
+    RETURN_IF_ERROR(dev_->Read(*ptr, buf.data()));
+    for (uint64_t i = first_slot; i < ppb; ++i) {
+      uint32_t child = LoadU32(buf.data() + 4 * i);
+      RETURN_IF_ERROR(
+          FreeSubtree(&child, child_span, i == first_slot ? first % child_span
+                                                          : 0));
+      StoreU32(buf.data() + 4 * i, child);
     }
-    return FreeBlock(block);
-  };
-  if (node.indirect != 0) {
-    RETURN_IF_ERROR(free_indirect(node.indirect));
-    node.indirect = 0;
-  }
-  if (node.double_indirect != 0) {
-    std::vector<uint8_t> buf(sb_->block_size);
-    RETURN_IF_ERROR(dev_->Read(node.double_indirect, buf.data()));
-    for (uint64_t i = 0; i < ppb; ++i) {
-      uint32_t l1 = LoadU32(buf.data() + 4 * i);
-      if (l1 != 0) {
-        RETURN_IF_ERROR(free_indirect(l1));
-      }
+    if (first > 0) {
+      // A kept block maps through this one: keep it, clear the freed slots.
+      const uint8_t* src = buf.data();
+      return ModifyBlock(*ptr, [src, first_slot, ppb](uint8_t* block) {
+        std::memcpy(block + 4 * first_slot, src + 4 * first_slot,
+                    4 * (ppb - first_slot));
+      });
     }
-    RETURN_IF_ERROR(FreeBlock(node.double_indirect));
-    node.double_indirect = 0;
   }
+  RETURN_IF_ERROR(FreeBlock(*ptr));
+  *ptr = 0;
   return OkStatus();
 }
 
-Status Ffs::TruncateTo(InodeNum inode, DiskInode& node, uint64_t new_size) {
+Status Ffs::FreeBlocksFrom(DiskInode& node, uint64_t first) {
+  const uint64_t ppb = sb_->block_size / 4;
+  uint64_t base = 0;  // first file block the next pointer maps
+  auto from = [&first, &base] { return first > base ? first - base : 0; };
+  for (size_t i = 0; i < kDirectBlocks; ++i, ++base) {
+    RETURN_IF_ERROR(FreeSubtree(&node.direct[i], 1, from()));
+  }
+  RETURN_IF_ERROR(FreeSubtree(&node.indirect, ppb, from()));
+  base += ppb;
+  return FreeSubtree(&node.double_indirect, ppb * ppb, from());
+}
+
+Status Ffs::TruncateTo(DiskInode& node, uint64_t new_size) {
   if (new_size >= node.size) {
     node.size = new_size;  // extend: hole, reads return zeros
     return OkStatus();
   }
-  // Shrink: free whole blocks beyond the new end, then zero the tail of the
-  // boundary block so re-extension reads zeros.
+  // Shrink: release every block past the new end, then zero the tail of
+  // the boundary block so re-extension reads zeros.
   const uint32_t bs = sb_->block_size;
-  uint64_t keep_blocks = (new_size + bs - 1) / bs;
-  uint64_t old_blocks = (node.size + bs - 1) / bs;
-  bool dirty = false;
-  for (uint64_t fb = keep_blocks; fb < old_blocks; ++fb) {
-    ASSIGN_OR_RETURN(uint64_t block, BMap(node, fb, false, dirty));
-    if (block != 0) {
-      RETURN_IF_ERROR(FreeBlock(block));
-      // Clear the pointer. Walk again with a direct clear: cheapest is to
-      // re-run BMap paths; for simplicity clear direct pointers inline and
-      // leave indirect slots (they are zeroed lazily below).
-      if (fb < kDirectBlocks) {
-        node.direct[fb] = 0;
-      } else {
-        // Zero the slot in the (double-)indirect tree.
-        const uint64_t ppb = bs / 4;
-        uint64_t rel = fb - kDirectBlocks;
-        if (rel < ppb) {
-          RETURN_IF_ERROR(ModifyBlock(node.indirect, [rel](uint8_t* buf) {
-            StoreU32(buf + 4 * rel, 0);
-          }));
-        } else {
-          rel -= ppb;
-          std::vector<uint8_t> buf(bs);
-          RETURN_IF_ERROR(dev_->Read(node.double_indirect, buf.data()));
-          uint32_t l1 = LoadU32(buf.data() + 4 * (rel / ppb));
-          if (l1 != 0) {
-            uint64_t slot = rel % ppb;
-            RETURN_IF_ERROR(ModifyBlock(l1, [slot](uint8_t* buf2) {
-              StoreU32(buf2 + 4 * slot, 0);
-            }));
-          }
-        }
-      }
-    }
-  }
+  RETURN_IF_ERROR(FreeBlocksFrom(node, (new_size + bs - 1) / bs));
   if (new_size % bs != 0) {
+    bool dirty = false;
     ASSIGN_OR_RETURN(uint64_t block, BMap(node, new_size / bs, false, dirty));
     if (block != 0) {
       uint32_t tail = static_cast<uint32_t>(new_size % bs);
@@ -740,42 +704,47 @@ Result<size_t> Ffs::WriteInternal(InodeNum inode, DiskInode& node,
 
 // ------------------------------------------------------------ directories
 
-Result<std::optional<std::pair<uint32_t, DirEntry>>> Ffs::FindEntry(
-    const DiskInode& dir_node, const std::string& name) {
+Status Ffs::ForEachDirSlot(
+    const DiskInode& dir_node,
+    const std::function<bool(uint64_t slot, const uint8_t* entry)>& fn) {
   const uint32_t bs = sb_->block_size;
-  DiskInode node = dir_node;  // ReadInternal takes non-const for BMap
-  uint64_t slots = node.size / kDirEntrySize;
-  std::vector<uint8_t> buf(bs);
   const uint32_t entries_per_block = bs / kDirEntrySize;
+  const uint64_t slots = dir_node.size / kDirEntrySize;
+  DiskInode node = dir_node;  // BMap takes non-const
+  std::vector<uint8_t> buf(bs);
   bool dirty = false;
   for (uint64_t slot = 0; slot < slots; ++slot) {
-    uint64_t fb = slot / entries_per_block;
     if (slot % entries_per_block == 0) {
-      ASSIGN_OR_RETURN(uint64_t block, BMap(node, fb, false, dirty));
+      ASSIGN_OR_RETURN(uint64_t block,
+                       BMap(node, slot / entries_per_block, false, dirty));
       if (block == 0) {
         std::memset(buf.data(), 0, bs);
       } else {
         RETURN_IF_ERROR(dev_->Read(block, buf.data()));
       }
     }
-    const uint8_t* e =
-        buf.data() + (slot % entries_per_block) * kDirEntrySize;
-    uint32_t ino = LoadU32(e);
-    if (ino == 0) {
-      continue;
-    }
-    uint8_t name_len = e[5];
-    if (name_len == name.size() &&
-        std::memcmp(e + 6, name.data(), name_len) == 0) {
-      DirEntry entry;
-      entry.inode = ino;
-      entry.type = static_cast<FileType>(e[4]);
-      entry.name = name;
-      return std::optional<std::pair<uint32_t, DirEntry>>(
-          std::make_pair(static_cast<uint32_t>(slot), entry));
+    if (!fn(slot, buf.data() + (slot % entries_per_block) * kDirEntrySize)) {
+      break;
     }
   }
-  return std::optional<std::pair<uint32_t, DirEntry>>(std::nullopt);
+  return OkStatus();
+}
+
+Result<std::optional<std::pair<uint32_t, DirEntry>>> Ffs::FindEntry(
+    const DiskInode& dir_node, const std::string& name) {
+  std::optional<std::pair<uint32_t, DirEntry>> found;
+  RETURN_IF_ERROR(
+      ForEachDirSlot(dir_node, [&](uint64_t slot, const uint8_t* e) {
+        uint8_t name_len = e[5];
+        if (LoadU32(e) == 0 || name_len != name.size() ||
+            std::memcmp(e + 6, name.data(), name_len) != 0) {
+          return true;
+        }
+        found.emplace(static_cast<uint32_t>(slot),
+                      DirEntry{name, LoadU32(e), static_cast<FileType>(e[4])});
+        return false;
+      }));
+  return found;
 }
 
 Status Ffs::AddEntry(InodeNum dir, DiskInode& dir_node,
@@ -787,28 +756,16 @@ Status Ffs::AddEntry(InodeNum dir, DiskInode& dir_node,
   if (name.find('/') != std::string::npos || name == "." || name == "..") {
     return InvalidArgumentError("invalid file name");
   }
-  // Find a free slot (or append).
-  uint64_t slots = dir_node.size / kDirEntrySize;
-  uint64_t target_slot = slots;
-  const uint32_t entries_per_block = sb_->block_size / kDirEntrySize;
-  std::vector<uint8_t> buf(sb_->block_size);
-  bool dirty = false;
-  for (uint64_t slot = 0; slot < slots; ++slot) {
-    uint64_t fb = slot / entries_per_block;
-    if (slot % entries_per_block == 0) {
-      ASSIGN_OR_RETURN(uint64_t block, BMap(dir_node, fb, false, dirty));
-      if (block == 0) {
-        std::memset(buf.data(), 0, sb_->block_size);
-      } else {
-        RETURN_IF_ERROR(dev_->Read(block, buf.data()));
-      }
-    }
-    if (LoadU32(buf.data() + (slot % entries_per_block) * kDirEntrySize) ==
-        0) {
-      target_slot = slot;
-      break;
-    }
-  }
+  // Take the first free slot, or append.
+  uint64_t target_slot = dir_node.size / kDirEntrySize;
+  RETURN_IF_ERROR(
+      ForEachDirSlot(dir_node, [&](uint64_t slot, const uint8_t* e) {
+        if (LoadU32(e) != 0) {
+          return true;
+        }
+        target_slot = slot;
+        return false;
+      }));
   uint8_t entry[kDirEntrySize] = {0};
   StoreU32(entry, target);
   entry[4] = static_cast<uint8_t>(type);
@@ -838,27 +795,12 @@ Status Ffs::RemoveEntrySlot(DiskInode& dir_node, uint32_t slot) {
 }
 
 Result<bool> Ffs::DirIsEmpty(const DiskInode& dir_node) {
-  DiskInode node = dir_node;
-  uint64_t slots = node.size / kDirEntrySize;
-  const uint32_t entries_per_block = sb_->block_size / kDirEntrySize;
-  std::vector<uint8_t> buf(sb_->block_size);
-  bool dirty = false;
-  for (uint64_t slot = 0; slot < slots; ++slot) {
-    if (slot % entries_per_block == 0) {
-      ASSIGN_OR_RETURN(uint64_t block,
-                       BMap(node, slot / entries_per_block, false, dirty));
-      if (block == 0) {
-        std::memset(buf.data(), 0, sb_->block_size);
-      } else {
-        RETURN_IF_ERROR(dev_->Read(block, buf.data()));
-      }
-    }
-    if (LoadU32(buf.data() + (slot % entries_per_block) * kDirEntrySize) !=
-        0) {
-      return false;
-    }
-  }
-  return true;
+  bool empty = true;
+  RETURN_IF_ERROR(ForEachDirSlot(dir_node, [&](uint64_t, const uint8_t* e) {
+    empty = LoadU32(e) == 0;
+    return empty;
+  }));
+  return empty;
 }
 
 // --------------------------------------------------------------- public API
@@ -905,7 +847,7 @@ Status Ffs::SetAttr(InodeNum inode, const SetAttrRequest& request) {
     if (node.type != static_cast<uint8_t>(FileType::kRegular)) {
       return InvalidArgumentError("size change on non-regular file");
     }
-    RETURN_IF_ERROR(TruncateTo(inode, node, *request.size));
+    RETURN_IF_ERROR(TruncateTo(node, *request.size));
   }
   if (request.atime.has_value()) {
     node.atime = *request.atime;
@@ -1123,32 +1065,14 @@ Result<std::vector<DirEntry>> Ffs::ReadDir(InodeNum dir) {
     return InvalidArgumentError("readdir on non-directory");
   }
   std::vector<DirEntry> entries;
-  uint64_t slots = node.size / kDirEntrySize;
-  const uint32_t entries_per_block = sb_->block_size / kDirEntrySize;
-  std::vector<uint8_t> buf(sb_->block_size);
-  bool dirty = false;
-  for (uint64_t slot = 0; slot < slots; ++slot) {
-    if (slot % entries_per_block == 0) {
-      ASSIGN_OR_RETURN(uint64_t block,
-                       BMap(node, slot / entries_per_block, false, dirty));
-      if (block == 0) {
-        std::memset(buf.data(), 0, sb_->block_size);
-      } else {
-        RETURN_IF_ERROR(dev_->Read(block, buf.data()));
-      }
+  RETURN_IF_ERROR(ForEachDirSlot(node, [&](uint64_t, const uint8_t* e) {
+    if (LoadU32(e) != 0) {
+      entries.push_back(
+          DirEntry{std::string(reinterpret_cast<const char*>(e + 6), e[5]),
+                   LoadU32(e), static_cast<FileType>(e[4])});
     }
-    const uint8_t* e =
-        buf.data() + (slot % entries_per_block) * kDirEntrySize;
-    uint32_t ino = LoadU32(e);
-    if (ino == 0) {
-      continue;
-    }
-    DirEntry entry;
-    entry.inode = ino;
-    entry.type = static_cast<FileType>(e[4]);
-    entry.name.assign(reinterpret_cast<const char*>(e + 6), e[5]);
-    entries.push_back(std::move(entry));
-  }
+    return true;
+  }));
   return entries;
 }
 

@@ -95,9 +95,6 @@ struct FfsMountOptions {
   // disables caching entirely — the uncached seed path, kept for the
   // benchmark baseline; only safe single-threaded.
   BlockCacheOptions cache;
-  // Bound on the in-memory inode cache (write-through, sharded);
-  // 0 disables it.
-  size_t inode_cache_entries = 1024;
 };
 
 struct FfsFormatOptions {
@@ -208,9 +205,21 @@ class Ffs {
   Result<uint64_t> BMap(DiskInode& node, uint64_t file_block, bool allocate,
                         bool& dirty);
 
-  Status FreeAllBlocks(DiskInode& node);
-  Status TruncateTo(InodeNum inode, DiskInode& node, uint64_t new_size);
+  // Releases the blocks at file block `first` and beyond under one pointer
+  // `*ptr` that maps `span` file blocks (1 for a data block). `first` is
+  // relative to the pointer's first file block. A pointer block that some
+  // kept block maps through stays, with its freed slots zeroed; anything
+  // else is freed and `*ptr` becomes 0.
+  Status FreeSubtree(uint32_t* ptr, uint64_t span, uint64_t first);
+  // Releases every block of `node` from file block `first` on.
+  Status FreeBlocksFrom(DiskInode& node, uint64_t first);
+  Status TruncateTo(DiskInode& node, uint64_t new_size);
 
+  // Calls `fn` on each 64-byte slot of the directory in order, holes read
+  // as zeroed slots, until `fn` returns false.
+  Status ForEachDirSlot(
+      const DiskInode& dir_node,
+      const std::function<bool(uint64_t slot, const uint8_t* entry)>& fn);
   Result<std::optional<std::pair<uint32_t, DirEntry>>> FindEntry(
       const DiskInode& dir_node, const std::string& name);
   Status AddEntry(InodeNum dir, DiskInode& dir_node, const std::string& name,

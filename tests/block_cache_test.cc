@@ -22,13 +22,12 @@ std::vector<uint8_t> Pattern(uint64_t block) {
   return data;
 }
 
-// A single-shard cache with the flusher off, so eviction order and
-// write-back timing are fully deterministic.
+// A small cache (capacities under 128 blocks get one shard) with the
+// flusher off, so eviction order and write-back timing are fully
+// deterministic.
 BlockCacheOptions ManualOptions(size_t capacity) {
   BlockCacheOptions opts;
   opts.capacity_blocks = capacity;
-  opts.num_shards = 1;
-  opts.readahead_blocks = 0;
   opts.flusher_thread = false;
   return opts;
 }
@@ -132,40 +131,38 @@ TEST(BlockCacheTest, DropDirtyRestoresLastSyncImage) {
   EXPECT_EQ(buf, std::vector<uint8_t>(kBlockSize, 0));
 }
 
-TEST(BlockCacheTest, ReadaheadTriggersOnlyOnSequentialStreams) {
-  // Sequential scan: readahead fires and the prefetched blocks hit.
-  {
-    auto base = std::make_shared<MemBlockDevice>(kBlockSize, 256);
-    BlockCacheOptions opts;
-    opts.capacity_blocks = 64;
-    opts.readahead_blocks = 8;
-    opts.flusher_thread = false;
-    BlockCache cache(base, opts);
+// A miss reads exactly the block asked for: a sequential scan costs one
+// device read per block, and so does every block of a two-block read.
+TEST(BlockCacheTest, MissesReadOnlyTheRequestedBlock) {
+  auto base = std::make_shared<MemBlockDevice>(kBlockSize, 4096);
+  BlockCacheOptions opts;
+  opts.flusher_thread = false;
+  BlockCache cache(base, opts);
+  std::vector<uint8_t> buf(kBlockSize);
 
-    std::vector<uint8_t> buf(kBlockSize);
-    for (uint64_t b = 0; b < 32; ++b) {
-      ASSERT_TRUE(cache.Read(b, buf.data()).ok());
-    }
-    EXPECT_GT(cache.cache_stats().readaheads.load(), 0u);
-    EXPECT_GT(cache.cache_stats().hits.load(), 0u);
-    // Prefetch covered most of the scan: far fewer misses than blocks.
-    EXPECT_LT(cache.cache_stats().misses.load(), 8u);
+  constexpr uint64_t kScan = 256;  // 16 blocks per shard: no evictions
+  for (uint64_t b = 0; b < kScan; ++b) {
+    ASSERT_TRUE(cache.Read(b, buf.data()).ok());
   }
-  // Scattered reads: no stream forms, no readahead.
-  {
-    auto base = std::make_shared<MemBlockDevice>(kBlockSize, 256);
-    BlockCacheOptions opts;
-    opts.capacity_blocks = 64;
-    opts.readahead_blocks = 8;
-    opts.flusher_thread = false;
-    BlockCache cache(base, opts);
+  EXPECT_EQ(cache.cache_stats().misses.load(), kScan);
+  EXPECT_EQ(cache.cache_stats().hits.load(), 0u);
+  EXPECT_EQ(base->stats().reads.load(), kScan);
+  EXPECT_EQ(cache.cached_blocks(), kScan);
 
-    std::vector<uint8_t> buf(kBlockSize);
-    for (uint64_t b : {0u, 17u, 3u, 90u, 45u, 200u, 7u, 121u}) {
-      ASSERT_TRUE(cache.Read(b, buf.data()).ok());
-    }
-    EXPECT_EQ(cache.cache_stats().readaheads.load(), 0u);
+  uint64_t x = 7;
+  for (int i = 0; i < 200; ++i) {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    const uint64_t block = kScan + (x >> 33) % (4096 - kScan - 1);
+    const uint64_t misses = cache.cache_stats().misses.load();
+    const uint64_t reads = base->stats().reads.load();
+    ASSERT_TRUE(cache.Read(block, buf.data()).ok());
+    ASSERT_TRUE(cache.Read(block + 1, buf.data()).ok());
+    EXPECT_EQ(base->stats().reads.load() - reads,
+              cache.cache_stats().misses.load() - misses)
+        << "two-block read at " << block;
   }
+  EXPECT_GT(cache.cache_stats().misses.load(), kScan);
+  EXPECT_EQ(cache.cache_stats().readaheads.load(), 0u);
 }
 
 TEST(BlockCacheTest, ModifyIsAtomicAcrossThreads) {
@@ -216,7 +213,6 @@ TEST(BlockCacheTest, ConcurrentReadWriteStorm) {
   auto base = std::make_shared<MemBlockDevice>(kBlockSize, 1024);
   BlockCacheOptions opts;
   opts.capacity_blocks = 128;
-  opts.readahead_blocks = 8;
   opts.flush_watermark = 16;
   opts.flush_interval_ms = 5;
   BlockCache cache(base, opts);

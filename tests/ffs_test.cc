@@ -218,6 +218,68 @@ TEST(FfsTest, TruncateShrinkFreesBlocks) {
   EXPECT_EQ(after_stat->free_blocks, free_before);  // everything returned
 }
 
+// A shrink releases the pointer blocks no kept block maps through, not
+// just the data blocks past the new end.
+TEST(FfsTest, TruncateReleasesPointerBlocks) {
+  auto fs = MakeFs(8192);
+  ASSERT_TRUE(fs->Create(fs->root(), "placeholder", 0644).ok());
+  auto before = fs->StatFs();
+  ASSERT_TRUE(before.ok());
+  const uint64_t free_before = before->free_blocks;
+  auto used = [&]() -> uint64_t {
+    auto now = fs->StatFs();
+    EXPECT_TRUE(now.ok());
+    return free_before - now->free_blocks;
+  };
+  auto truncate = [&](InodeNum inode, uint64_t size) {
+    SetAttrRequest req;
+    req.size = size;
+    ASSERT_TRUE(fs->SetAttr(inode, req).ok());
+    auto report = fs->Check();
+    ASSERT_TRUE(report.ok()) << report.status();
+    EXPECT_TRUE(report->clean()) << report->errors.front();
+  };
+
+  // 10 direct + 1,024 indirect + 2 double-indirect data blocks.
+  auto f = fs->Create(fs->root(), "f", 0644);
+  ASSERT_TRUE(f.ok());
+  const uint64_t full = (10 + 1024 + 2) * uint64_t{kBlockSize};
+  Bytes data(full, 'x');
+  ASSERT_TRUE(fs->Write(f->inode, 0, data.data(), data.size()).ok());
+  EXPECT_EQ(used(), 1036u + 3);  // + indirect, double-indirect, one level-1
+
+  truncate(f->inode, (10 + 1024 + 1) * uint64_t{kBlockSize});
+  EXPECT_EQ(used(), 1035u + 3);  // the level-1 block still maps block 1034
+  truncate(f->inode, 15 * uint64_t{kBlockSize} + 1);
+  EXPECT_EQ(used(), 16u + 1);  // only the indirect block stays
+  truncate(f->inode, 100);
+  EXPECT_EQ(used(), 1u);
+  Bytes head(100);
+  ASSERT_TRUE(fs->Read(f->inode, 0, head.size(), head.data()).ok());
+  EXPECT_EQ(head, Bytes(100, 'x'));
+  truncate(f->inode, 0);
+  EXPECT_EQ(used(), 0u);
+
+  // Re-extension reads zeros in every range, and the tree rebuilds.
+  truncate(f->inode, full);
+  for (uint64_t block : {0, 9, 10, 1033, 1034, 1035}) {
+    Bytes back(16);
+    ASSERT_TRUE(
+        fs->Read(f->inode, block * kBlockSize, back.size(), back.data()).ok());
+    EXPECT_EQ(back, Bytes(16, 0)) << "block " << block;
+  }
+  Bytes deep = ToBytes("deep");
+  const uint64_t deep_at = 1035 * uint64_t{kBlockSize};
+  ASSERT_TRUE(fs->Write(f->inode, deep_at, deep.data(), deep.size()).ok());
+  Bytes back(deep.size());
+  ASSERT_TRUE(fs->Read(f->inode, deep_at, back.size(), back.data()).ok());
+  EXPECT_EQ(back, deep);
+  EXPECT_EQ(used(), 1u + 2);  // + double-indirect and one level-1
+  auto report = fs->Check();
+  ASSERT_TRUE(report.ok());
+  EXPECT_TRUE(report->clean()) << report->errors.front();
+}
+
 TEST(FfsTest, RemoveFreesInodeAndBlocks) {
   auto fs = MakeFs();
   auto before = fs->StatFs();
@@ -291,6 +353,52 @@ TEST(FfsTest, RmdirOnlyWhenEmpty) {
   ASSERT_TRUE(fs->Remove(d->inode, "f").ok());
   EXPECT_TRUE(fs->Rmdir(fs->root(), "d").ok());
   EXPECT_FALSE(fs->Lookup(fs->root(), "d").ok());
+}
+
+// A directory of three blocks (64 slots each): a freed slot in the third
+// block is reused, lookups reach every block, and emptiness is judged on
+// all of them.
+TEST(FfsTest, DirectorySpanningThreeBlocks) {
+  auto fs = MakeFs();
+  auto d = fs->Mkdir(fs->root(), "d", 0755);
+  ASSERT_TRUE(d.ok());
+  const int kEntries = 64 * 2 + 10;
+  auto name = [](int i) { return "entry" + std::to_string(i); };
+  for (int i = 0; i < kEntries; ++i) {
+    ASSERT_TRUE(fs->Create(d->inode, name(i), 0644).ok()) << i;
+  }
+  auto attr = fs->GetAttr(d->inode);
+  ASSERT_TRUE(attr.ok());
+  const uint64_t size = attr->size;
+  EXPECT_EQ(size, kEntries * 64u);
+
+  // Slot 130 is in the third block; the next create takes it.
+  ASSERT_TRUE(fs->Remove(d->inode, name(130)).ok());
+  ASSERT_TRUE(fs->Create(d->inode, "newcomer", 0644).ok());
+  EXPECT_EQ(fs->GetAttr(d->inode)->size, size);
+  auto listing = fs->ReadDir(d->inode);
+  ASSERT_TRUE(listing.ok());
+  ASSERT_EQ(listing->size(), static_cast<size_t>(kEntries));
+  EXPECT_EQ((*listing)[130].name, "newcomer");
+
+  for (int i = 0; i < kEntries; ++i) {
+    if (i != 130) {
+      EXPECT_TRUE(fs->Lookup(d->inode, name(i)).ok()) << name(i);
+    }
+  }
+  EXPECT_TRUE(fs->Lookup(d->inode, "newcomer").ok());
+
+  for (int i = 0; i < kEntries; ++i) {
+    if (i != 130) {
+      ASSERT_TRUE(fs->Remove(d->inode, name(i)).ok()) << name(i);
+    }
+  }
+  EXPECT_FALSE(fs->Rmdir(fs->root(), "d").ok());  // "newcomer" remains
+  ASSERT_TRUE(fs->Remove(d->inode, "newcomer").ok());
+  EXPECT_TRUE(fs->Rmdir(fs->root(), "d").ok());
+  auto report = fs->Check();
+  ASSERT_TRUE(report.ok());
+  EXPECT_TRUE(report->clean()) << report->errors.front();
 }
 
 TEST(FfsTest, RemoveDirectoryWithRemoveRejected) {

@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
 # Builds the Release tree and runs every bench: policy_scaling,
-# ablation_cache, rpc_pipeline, coherence_propagation, admission_scaling,
-# storage_scaling, lockbox_sharing, obs_overhead, overload_harness and
-# micro_ops. The eight gated benches write BENCH_<name>.json at the repo
-# root, each recording its gates (docs/BENCH_SCHEMAS.md), and
-# tools/check_bench_schema.py re-evaluates them all. A failing bench does
-# not stop the run: every bench runs, every failing gate is printed, and
-# the script exits 1 at the end.
+# rpc_pipeline, coherence_propagation, admission_scaling, storage_scaling,
+# lockbox_sharing, obs_overhead, overload_harness and micro_ops. The eight
+# gated benches write BENCH_<name>.json at the repo root, each recording
+# its gates (docs/BENCH_SCHEMAS.md), and tools/check_bench_schema.py
+# re-evaluates them all. A failing bench does not stop the run: every
+# bench runs, every failing gate is printed, and the script exits 1 at
+# the end.
 #
 # Usage: tools/run_bench.sh [max_credentials]
 #   max_credentials  cap the policy_scaling, admission_scaling and
@@ -29,9 +29,9 @@ max_credentials="${1:-10000}"
 cmake -B "$build_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Release ||
   die "cmake configure failed"
 cmake --build "$build_dir" -j "$(nproc)" \
-  --target policy_scaling ablation_cache rpc_pipeline \
-  coherence_propagation admission_scaling storage_scaling \
-  lockbox_sharing obs_overhead overload_harness micro_ops ||
+  --target policy_scaling rpc_pipeline coherence_propagation \
+  admission_scaling storage_scaling lockbox_sharing obs_overhead \
+  overload_harness micro_ops ||
   die "build failed"
 
 failures=()
@@ -56,7 +56,6 @@ gated() {
 }
 
 gated policy_scaling policy "$max_credentials"
-run ablation_cache
 gated rpc_pipeline rpc
 gated coherence_propagation coherence
 gated admission_scaling admission "$max_credentials"

@@ -8,7 +8,7 @@
 # store is written by publishers, receivers, and the maintenance thread,
 # the multiserver test and fault smoke exercise the whole stack
 # (including restart recovery) end-to-end over TCP, the storage data
-# plane (block cache write-back/readahead/flusher, NFS striped locking)
+# plane (block cache write-back and flusher, NFS striped locking)
 # is hammered by block_cache_test and nfs_test, and the lockbox layer
 # (sharded chunk store + per-handle sidecar stripes over the NFS entry
 # points) is exercised end-to-end by lockbox_test, and the observability
