@@ -237,7 +237,7 @@ TierResult RunTier(const DsaPrivateKey& server_key, size_t n, Prng& prng) {
 
   // Replay: resubmit the full set against the server warmed by the
   // 1-thread phase; every verify should short-circuit in the cache.
-  warm_server->ResetTelemetry();
+  const auto before = warm_server->stats_snapshot().signatures;
   double r0 = NowSec();
   for (const std::string& cred : creds) {
     if (!warm_server->SubmitCredential(cred).ok()) {
@@ -247,11 +247,11 @@ TierResult RunTier(const DsaPrivateKey& server_key, size_t n, Prng& prng) {
   }
   double relapsed = NowSec() - r0;
   out.resubmit_per_s = n / relapsed;
-  auto stats = warm_server->stats_snapshot().signatures;
+  const auto after = warm_server->stats_snapshot().signatures;
+  const uint64_t hits = after.hits - before.hits;
+  const uint64_t misses = after.misses - before.misses;
   out.sig_cache_hit_rate =
-      stats.hits + stats.misses == 0
-          ? 0.0
-          : static_cast<double>(stats.hits) / (stats.hits + stats.misses);
+      hits + misses == 0 ? 0.0 : static_cast<double>(hits) / (hits + misses);
   return out;
 }
 

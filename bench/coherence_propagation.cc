@@ -164,12 +164,14 @@ TierResult RunTier(size_t cluster_size, size_t burst_events) {
   }
 
   // --- survivor phase: one scoped churn event against warm receivers ---
+  std::vector<uint64_t> warm_queries;  // per receiver, after warm-up
   for (Node* node : receivers) {
     for (size_t p = 0; p < kWarmPrincipals; ++p) {
       node->host->server().EffectiveMask(
           "warm-principal-" + std::to_string(p), 1);
     }
-    node->host->server().ResetTelemetry();
+    warm_queries.push_back(
+        node->host->server().counters().keynote_queries.load());
   }
   origin.RevokeKey("churn-survivor-victim");
   if (!origin_fabric->WaitForAck(origin_fabric->stats().head_seq,
@@ -179,12 +181,12 @@ TierResult RunTier(size_t cluster_size, size_t burst_events) {
     std::abort();
   }
   uint64_t recomputes = 0;
-  for (Node* node : receivers) {
+  for (size_t r = 0; r < receivers.size(); ++r) {
+    DiscfsServer& server = receivers[r]->host->server();
     for (size_t p = 0; p < kWarmPrincipals; ++p) {
-      node->host->server().EffectiveMask(
-          "warm-principal-" + std::to_string(p), 1);
+      server.EffectiveMask("warm-principal-" + std::to_string(p), 1);
     }
-    recomputes += node->host->server().counters().keynote_queries.load();
+    recomputes += server.counters().keynote_queries.load() - warm_queries[r];
   }
   size_t warm_total = kWarmPrincipals * receivers.size();
   tier.survivor_hit_rate =

@@ -168,7 +168,7 @@ bool Await(Pred predicate, std::chrono::seconds timeout = kConvergeTimeout) {
 
 bool FullMesh(const Mesh& mesh) {
   for (const Node& node : mesh.nodes) {
-    if (node.host->fabric()->Health().healthy_peers() + 1 < mesh.size()) {
+    if (node.host->fabric()->stats().healthy_peers() + 1 < mesh.size()) {
       return false;
     }
   }
@@ -248,7 +248,7 @@ RestartResult RollingRestart(Mesh& mesh, size_t i, const char* tag) {
   for (size_t p = 0; p < kWarmPrincipals; ++p) {
     surv.EffectiveMask("warm-principal-" + std::to_string(p), 1);
   }
-  surv.ResetTelemetry();
+  const uint64_t queries_before = surv.counters().keynote_queries.load();
 
   uint64_t incarnation_before = node.host->fabric()->incarnation();
   node.host.reset();  // real shutdown path (clean snapshot, joins threads)
@@ -277,11 +277,11 @@ RestartResult RollingRestart(Mesh& mesh, size_t i, const char* tag) {
   }
   result.rejoin_s = NowSec() - t0;
 
-  uint64_t recomputes = 0;
   for (size_t p = 0; p < kWarmPrincipals; ++p) {
     surv.EffectiveMask("warm-principal-" + std::to_string(p), 1);
   }
-  recomputes = surv.counters().keynote_queries.load();
+  const uint64_t recomputes =
+      surv.counters().keynote_queries.load() - queries_before;
   result.survivor_hit_rate =
       1.0 - static_cast<double>(recomputes) / kWarmPrincipals;
   return result;
@@ -416,9 +416,9 @@ int Run(int argc, char** argv) {
   }
   // Both sides notice: cross-partition peers go unhealthy.
   if (!Await([&] {
-        return mesh.nodes[0].host->fabric()->Health().healthy_peers() <
+        return mesh.nodes[0].host->fabric()->stats().healthy_peers() <
                    half &&
-               mesh.nodes[half].host->fabric()->Health().healthy_peers() <
+               mesh.nodes[half].host->fabric()->stats().healthy_peers() <
                    cluster_size - half;
       })) {
     Fail("partition was not detected");

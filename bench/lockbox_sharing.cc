@@ -322,11 +322,13 @@ RevocationResult RunRevocationPhase() {
   }
 
   // All three grants are warm on B before the revocation.
-  node_b.host->server().ResetTelemetry();
+  const std::atomic<uint64_t>& b_queries =
+      node_b.host->server().counters().keynote_queries;
+  const uint64_t warm_queries = b_queries.load();
   for (auto& client : device_clients) {
     BENCH_CHECK(client->GetLockbox(fh).ok());
   }
-  BENCH_CHECK(node_b.host->server().counters().keynote_queries.load() == 0);
+  BENCH_CHECK(b_queries.load() == warm_queries);
 
   // Device 0 is lost. Revocation is ACCEPTED ON A (which never installed
   // the credential) and must deny on B through the fabric.
@@ -336,14 +338,13 @@ RevocationResult RunRevocationPhase() {
       node_a.host->fabric()->stats().head_seq, kConvergeTimeout));
   out.propagation_ms = (NowSec() - t0) * 1e3;
 
-  node_b.host->server().ResetTelemetry();
   // Siblings first: they must be served from B's cache.
+  const uint64_t sibling_queries = b_queries.load();
   for (size_t i = 1; i < out.devices; ++i) {
     BENCH_CHECK(device_clients[i]->GetLockbox(fh).ok());
     ++out.sibling_fetches;
   }
-  out.sibling_keynote_queries =
-      node_b.host->server().counters().keynote_queries.load();
+  out.sibling_keynote_queries = b_queries.load() - sibling_queries;
 
   for (size_t k = 0; k < kRevokedAttempts; ++k) {
     ++out.revoked_attempts;

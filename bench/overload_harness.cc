@@ -587,7 +587,7 @@ struct DeadlineResult {
   uint64_t expired_replies = 0;
   uint64_t other_errors = 0;
   uint64_t late_ok = 0;
-  uint64_t server_expired_dropped = 0;
+  uint64_t server_expired = 0;
 };
 
 // A single-worker host, no shedding: a burst far larger than
@@ -689,8 +689,7 @@ DeadlineResult RunDeadlinePhase() {
       ++out.other_errors;
     }
   }
-  out.server_expired_dropped =
-      (*host)->server().recorder().expired_total();
+  out.server_expired = (*host)->server().recorder().expired_total();
   (*owner)->Close();
   return out;
 }
@@ -810,7 +809,7 @@ Json DeadlineJson(const DeadlineResult& dl) {
   out.Set("expired_replies", dl.expired_replies);
   out.Set("other_errors", dl.other_errors);
   out.Set("late_ok", dl.late_ok);
-  out.Set("server_expired_dropped", dl.server_expired_dropped);
+  out.Set("server_expired", dl.server_expired);
   return out;
 }
 
@@ -919,7 +918,7 @@ int Run(int argc, char** argv) {
               static_cast<unsigned long long>(dl.burst), dl.per_op_us,
               dl.deadline_ms, static_cast<unsigned long long>(dl.ok),
               static_cast<unsigned long long>(dl.expired_replies),
-              static_cast<unsigned long long>(dl.server_expired_dropped),
+              static_cast<unsigned long long>(dl.server_expired),
               static_cast<unsigned long long>(dl.late_ok));
 
   FloodResult fl = RunFloodPhase(env);
@@ -955,8 +954,7 @@ int Run(int argc, char** argv) {
   report.AddGate("phases.other_errors", other, GateOp::kEq, 0);
   report.AddGate("phases.shed_data_at_2x", phases[2].shed_data, GateOp::kGt, 0);
   // Expired work is dropped at dequeue, never executed.
-  report.AddGate("deadline.server_expired_dropped", dl.server_expired_dropped,
-                 GateOp::kGt, 0);
+  report.AddGate("deadline.server_expired", dl.server_expired, GateOp::kGt, 0);
   report.AddGate("deadline.expired_replies", dl.expired_replies, GateOp::kGt,
                  0);
   report.AddGate("deadline.late_ok", dl.late_ok, GateOp::kEq, 0);

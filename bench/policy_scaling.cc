@@ -159,7 +159,7 @@ Result<SizeResult> RunSize(const DsaPrivateKey& server_key, size_t n,
     cache.Put(principal, inode, session.Query(AccessQuery(principal, inode)),
               /*now=*/0);
   }
-  cache.ResetStats();
+  const PolicyCache::Stats before = cache.stats();
   const size_t rounds = 2000;
   double w0 = NowSec();
   for (size_t r = 0; r < rounds; ++r) {
@@ -168,10 +168,11 @@ Result<SizeResult> RunSize(const DsaPrivateKey& server_key, size_t n,
     }
   }
   double warm_s = NowSec() - w0;
-  PolicyCache::Stats warm = cache.stats();
+  const PolicyCache::Stats after = cache.stats();
+  const uint64_t hits = after.hits - before.hits;
+  const uint64_t misses = after.misses - before.misses;
   out.warm_hit_ops_per_s = (rounds * samples) / warm_s;
-  out.warm_hit_rate =
-      static_cast<double>(warm.hits) / (warm.hits + warm.misses);
+  out.warm_hit_rate = static_cast<double>(hits) / (hits + misses);
 
   // Credential churn: one new principal arrives; scoped invalidation must
   // leave every sampled (unrelated) principal's entry warm.

@@ -187,18 +187,22 @@ CachedResult RunCachedTier(size_t file_mb) {
       MustRun(**backend, BonniePhase::kSeqInputBlock, file_mb);
 
   // Rewrite hit rate: the file was just read, so the working set is
-  // resident; every rewrite read should hit.
-  cache->ResetCacheStats();
-  out.rewrite_kb_s = MustRun(**backend, BonniePhase::kSeqRewrite, file_mb);
+  // resident; every rewrite read should hit. Every count below covers the
+  // rewrite pass alone: the difference of a read before and after it.
   const BlockCacheStats& cs = cache->cache_stats();
-  uint64_t hits = cs.hits.load();
-  uint64_t misses = cs.misses.load();
+  const BlockDeviceStats& ds = cache->stats();
+  const uint64_t hits0 = cs.hits.load(), misses0 = cs.misses.load();
+  const uint64_t writebacks0 = cs.writebacks.load();
+  const uint64_t reads0 = ds.reads.load(), writes0 = ds.writes.load();
+  out.rewrite_kb_s = MustRun(**backend, BonniePhase::kSeqRewrite, file_mb);
+  uint64_t hits = cs.hits.load() - hits0;
+  uint64_t misses = cs.misses.load() - misses0;
   out.rewrite_hit_rate =
       hits + misses == 0 ? 0.0
                          : static_cast<double>(hits) / (hits + misses);
-  out.writebacks = cs.writebacks.load();
-  out.device_reads = cache->stats().reads.load();
-  out.device_writes = cache->stats().writes.load();
+  out.writebacks = cs.writebacks.load() - writebacks0;
+  out.device_reads = ds.reads.load() - reads0;
+  out.device_writes = ds.writes.load() - writes0;
   out.fsck_clean = FsckClean(ffs, "cached_latency");
   return out;
 }

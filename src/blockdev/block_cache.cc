@@ -230,16 +230,6 @@ size_t BlockCache::cached_blocks() const {
   return total;
 }
 
-void BlockCache::ResetCacheStats() {
-  cache_stats_.hits.store(0, std::memory_order_relaxed);
-  cache_stats_.misses.store(0, std::memory_order_relaxed);
-  cache_stats_.evictions.store(0, std::memory_order_relaxed);
-  cache_stats_.writebacks.store(0, std::memory_order_relaxed);
-  cache_stats_.readaheads.store(0, std::memory_order_relaxed);
-  cache_stats_.sync_flushes.store(0, std::memory_order_relaxed);
-  cache_stats_.dropped_dirty.store(0, std::memory_order_relaxed);
-}
-
 void BlockCache::RegisterMetrics(obs::MetricsRegistry* registry) {
   registry->RegisterGauge(
       "discfs_block_cache", "Block cache counters by kind", [this] {

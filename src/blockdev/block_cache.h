@@ -105,7 +105,6 @@ class BlockCache : public BlockDevice {
   // Physical I/O counters (the backing device's).
   const BlockDeviceStats& stats() const override { return base_->stats(); }
   const BlockCacheStats& cache_stats() const { return cache_stats_; }
-  void ResetCacheStats();
 
   // Exports the cache counters (and dirty/cached block levels) as gauges
   // on `registry`, labeled {kind}. The registry reads them only at scrape

@@ -13,6 +13,10 @@ namespace {
 
 // How often a sender rechecks a fault-blocked link for healing.
 constexpr std::chrono::milliseconds kFaultPoll{50};
+// Max events per push RPC.
+constexpr size_t kBatchMax = 128;
+// First reconnect backoff; it doubles up to tuning.reconnect_max.
+constexpr std::chrono::milliseconds kReconnectInitial{10};
 
 int64_t SteadyNowMs() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -105,6 +109,8 @@ class CoherenceFabric::PeerSender {
     h.acked_seq = acked();
     h.connects = connects_.load(std::memory_order_relaxed);
     h.connect_failures = connect_failures_.load(std::memory_order_relaxed);
+    h.full_invalidations_sent =
+        full_invalidations_sent_.load(std::memory_order_relaxed);
     {
       std::lock_guard<std::mutex> lock(mu_);
       h.connected = client_ != nullptr;
@@ -117,23 +123,10 @@ class CoherenceFabric::PeerSender {
     return h;
   }
 
-  PeerStats stats() const {
-    PeerStats s;
-    s.address = address_;
-    s.acked_seq = acked();
-    s.connects = connects_.load(std::memory_order_relaxed);
-    s.connect_failures = connect_failures_.load(std::memory_order_relaxed);
-    s.full_invalidations_sent =
-        full_invalidations_sent_.load(std::memory_order_relaxed);
-    std::lock_guard<std::mutex> lock(mu_);
-    s.connected = client_ != nullptr;
-    return s;
-  }
-
  private:
   void Run() {
     const FabricTuning& tuning = fabric_->config_.tuning;
-    std::chrono::milliseconds backoff = tuning.reconnect_initial;
+    std::chrono::milliseconds backoff = kReconnectInitial;
     while (true) {
       {
         std::unique_lock<std::mutex> lock(mu_);
@@ -160,7 +153,7 @@ class CoherenceFabric::PeerSender {
           backoff = std::min(backoff * 2, tuning.reconnect_max);
           continue;
         }
-        backoff = tuning.reconnect_initial;
+        backoff = kReconnectInitial;
         auto now = std::chrono::steady_clock::now();
         next_heartbeat_ = now + tuning.heartbeat_interval;
         // Anti-entropy runs immediately on (re)connect — this is exactly
@@ -184,7 +177,7 @@ class CoherenceFabric::PeerSender {
 
       bool compacted = false;
       std::vector<SequencedEvent> batch =
-          fabric_->log_.ReadAfter(acked(), tuning.batch_max, &compacted);
+          fabric_->log_.ReadAfter(acked(), kBatchMax, &compacted);
       if (compacted) {
         // The log no longer holds cursor+1: one full invalidation stands
         // in for the lost prefix (seq = last lost entry), after which the
@@ -214,7 +207,6 @@ class CoherenceFabric::PeerSender {
         }
         continue;
       }
-      LinkDelay();
       PushBatch(client, batch);
     }
     Disconnect();
@@ -224,18 +216,6 @@ class CoherenceFabric::PeerSender {
     const std::shared_ptr<FaultSchedule>& faults = fabric_->config_.faults;
     return faults != nullptr &&
            faults->Blocked(fabric_->config_.listen_addr, address_);
-  }
-
-  // Injected delivery latency (fault seam); stop-aware sleep.
-  void LinkDelay() {
-    const std::shared_ptr<FaultSchedule>& faults = fabric_->config_.faults;
-    if (faults == nullptr) {
-      return;
-    }
-    auto delay = faults->Delay(fabric_->config_.listen_addr, address_);
-    if (delay.count() > 0) {
-      WaitStopped(delay);
-    }
   }
 
   void NoteOk() {
@@ -608,19 +588,6 @@ std::vector<std::string> CoherenceFabric::MemberAddresses() const {
   return members;
 }
 
-ClusterHealth CoherenceFabric::Health() const {
-  ClusterHealth health;
-  health.self_address = config_.listen_addr;
-  health.incarnation = incarnation_;
-  health.head_seq = log_.head_seq();
-  std::lock_guard<std::mutex> lock(peers_mu_);
-  health.peers.reserve(peers_.size());
-  for (const auto& peer : peers_) {
-    health.peers.push_back(peer->health(config_.tuning.heartbeat_deadline));
-  }
-  return health;
-}
-
 uint64_t CoherenceFabric::Publish(CoherenceEvent event) {
   uint64_t seq;
   {
@@ -859,7 +826,7 @@ FabricStats CoherenceFabric::stats() const {
   std::lock_guard<std::mutex> lock(peers_mu_);
   s.peers.reserve(peers_.size());
   for (const auto& peer : peers_) {
-    s.peers.push_back(peer->stats());
+    s.peers.push_back(peer->health(config_.tuning.heartbeat_deadline));
   }
   return s;
 }

@@ -32,7 +32,7 @@
 // Membership is seed-based — peers gossip advertised listen addresses on
 // Hello and kClusterStatus heartbeats, which also drive per-peer liveness
 // (see membership.h) — and a shared FaultSchedule seam lets harnesses
-// sever or delay links (see fault.h).
+// sever links (see fault.h).
 #ifndef DISCFS_SRC_CLUSTER_FABRIC_H_
 #define DISCFS_SRC_CLUSTER_FABRIC_H_
 
@@ -73,10 +73,7 @@ struct FabricTuning {
   // Events retained for replay; reconnecting peers whose cursor fell
   // behind by more than this get a full invalidation instead.
   size_t log_capacity = 4096;
-  // Max events per push RPC.
-  size_t batch_max = 128;
-  // Exponential reconnect backoff bounds.
-  std::chrono::milliseconds reconnect_initial{10};
+  // Cap on the exponential reconnect backoff (which starts at 10 ms).
   std::chrono::milliseconds reconnect_max{1000};
   // Bound on each TCP connect attempt, so a blackholed peer (SYNs
   // dropped, not refused) cannot pin a sender — or fabric teardown —
@@ -140,15 +137,6 @@ struct FabricConfig {
   FabricTuning tuning;
 };
 
-struct PeerStats {
-  std::string address;        // "host:port"
-  bool connected = false;
-  uint64_t acked_seq = 0;     // receiver-confirmed cursor for this peer
-  uint64_t connects = 0;      // successful (re)connections
-  uint64_t connect_failures = 0;
-  uint64_t full_invalidations_sent = 0;
-};
-
 struct FabricStats {
   uint64_t published = 0;                  // events appended locally
   uint64_t applied = 0;                    // remote events applied
@@ -162,7 +150,17 @@ struct FabricStats {
   uint64_t snapshots_written = 0;
   uint64_t revocation_syncs = 0;     // anti-entropy exchanges completed
   uint64_t revocations_pulled = 0;   // entries merged from peers
-  std::vector<PeerStats> peers;
+  std::vector<PeerHealth> peers;     // one per outbound link
+
+  size_t healthy_peers() const {
+    size_t n = 0;
+    for (const PeerHealth& peer : peers) {
+      if (peer.healthy) {
+        ++n;
+      }
+    }
+    return n;
+  }
 };
 
 class CoherenceFabric {
@@ -216,6 +214,8 @@ class CoherenceFabric {
   // timeout). The convergence barrier tests and benches sit on.
   bool WaitForAck(uint64_t seq, std::chrono::milliseconds timeout);
 
+  // Counters, log position and per-peer link health (the one home of
+  // each; the server's cluster gauges read it too).
   FabricStats stats() const;
   // Cheap atomic read for hot polling (propagation benches).
   uint64_t events_applied() const {
@@ -231,12 +231,6 @@ class CoherenceFabric {
   void AddPeerAddress(const std::string& address);
   // Member view for gossip: our advertised address plus every peer's.
   std::vector<std::string> MemberAddresses() const;
-  // Liveness snapshot (see membership.h).
-  ClusterHealth Health() const;
-
-  // Forces a snapshot now (tests; normally the maintenance thread decides
-  // by snapshot_interval). No-op without a store.
-  void SnapshotNowForTest() { WriteSnapshotNow(false); }
 
   // Test seam: while paused, the sender for peers_[index] neither pushes
   // nor reconnects — simulates a long partition without socket churn.

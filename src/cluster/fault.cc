@@ -15,35 +15,12 @@ void FaultSchedule::HealLink(const std::string& a, const std::string& b) {
 void FaultSchedule::HealAll() {
   std::lock_guard<std::mutex> lock(mu_);
   blocked_.clear();
-  delays_.clear();
-}
-
-void FaultSchedule::SetLinkDelay(const std::string& a, const std::string& b,
-                                 std::chrono::milliseconds delay) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (delay.count() <= 0) {
-    delays_.erase(Key(a, b));
-  } else {
-    delays_[Key(a, b)] = delay;
-  }
 }
 
 bool FaultSchedule::Blocked(const std::string& from,
                             const std::string& to) const {
   std::lock_guard<std::mutex> lock(mu_);
   return blocked_.count(Key(from, to)) != 0;
-}
-
-std::chrono::milliseconds FaultSchedule::Delay(const std::string& from,
-                                               const std::string& to) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = delays_.find(Key(from, to));
-  return it == delays_.end() ? std::chrono::milliseconds(0) : it->second;
-}
-
-uint64_t FaultSchedule::blocked_links() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return blocked_.size();
 }
 
 }  // namespace discfs::cluster

@@ -1,10 +1,10 @@
 // Fault-injection seam for the coherence fabric (PR 6). A FaultSchedule
 // is shared by every node of an in-process mesh (threaded through
-// DiscfsHostOptions into each fabric); peer senders consult it before
-// connecting and before every push, so the harness can blackhole links,
-// delay delivery, or partition the mesh without touching sockets. Links
-// are keyed by unordered address pair — blocking (a, b) severs both
-// directions, because each endpoint's sender checks the same rule.
+// DiscfsHostOptions into each fabric); peer senders consult it on every
+// turn of their loop, so the harness can blackhole links or partition the
+// mesh without touching sockets. Links are keyed by unordered address
+// pair — blocking (a, b) severs both directions, because each endpoint's
+// sender checks the same rule.
 //
 // Kill/restart faults are not simulated here: the harness destroys and
 // re-creates the DiscfsHost against its persistent storage directory,
@@ -12,9 +12,6 @@
 #ifndef DISCFS_SRC_CLUSTER_FAULT_H_
 #define DISCFS_SRC_CLUSTER_FAULT_H_
 
-#include <chrono>
-#include <cstdint>
-#include <map>
 #include <mutex>
 #include <set>
 #include <string>
@@ -29,18 +26,10 @@ class FaultSchedule {
   // HealLink. Idempotent.
   void BlockLink(const std::string& a, const std::string& b);
   void HealLink(const std::string& a, const std::string& b);
-  // Heals every blocked link and clears every delay.
+  // Heals every blocked link.
   void HealAll();
 
-  // Adds a fixed delivery delay to the link (both directions); 0 clears.
-  void SetLinkDelay(const std::string& a, const std::string& b,
-                    std::chrono::milliseconds delay);
-
   bool Blocked(const std::string& from, const std::string& to) const;
-  std::chrono::milliseconds Delay(const std::string& from,
-                                  const std::string& to) const;
-
-  uint64_t blocked_links() const;
 
  private:
   static std::pair<std::string, std::string> Key(const std::string& a,
@@ -50,8 +39,6 @@ class FaultSchedule {
 
   mutable std::mutex mu_;
   std::set<std::pair<std::string, std::string>> blocked_;
-  std::map<std::pair<std::string, std::string>, std::chrono::milliseconds>
-      delays_;
 };
 
 }  // namespace discfs::cluster

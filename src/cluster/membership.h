@@ -25,32 +25,17 @@
 
 namespace discfs::cluster {
 
+// One outbound link's state; FabricStats::peers holds one per peer.
 struct PeerHealth {
   std::string address;  // "host:port"
   bool connected = false;
   // Connected and heard from within the heartbeat deadline.
   bool healthy = false;
   int64_t millis_since_contact = -1;  // -1 = never heard from
-  uint64_t acked_seq = 0;
-  uint64_t connects = 0;
+  uint64_t acked_seq = 0;             // receiver-confirmed cursor
+  uint64_t connects = 0;              // successful (re)connections
   uint64_t connect_failures = 0;
-};
-
-struct ClusterHealth {
-  std::string self_address;   // advertised listen address ("" standalone)
-  uint64_t incarnation = 0;
-  uint64_t head_seq = 0;
-  std::vector<PeerHealth> peers;
-
-  size_t healthy_peers() const {
-    size_t n = 0;
-    for (const PeerHealth& peer : peers) {
-      if (peer.healthy) {
-        ++n;
-      }
-    }
-    return n;
-  }
+  uint64_t full_invalidations_sent = 0;
 };
 
 // Splits "host:port"; false on a malformed address or port.

@@ -325,7 +325,6 @@ Result<std::unique_ptr<CoherenceStore>> CoherenceStore::Open(
   {
     std::lock_guard<std::mutex> lock(store->mu_);
     RETURN_IF_ERROR(store->OpenJournalLocked(/*truncate=*/false));
-    store->journal_records_ = recovered->records.size();
     if (!journal_exists || !saw_header || recovered->torn_tail) {
       // Fresh journal, pre-v1 file, or a torn tail: rewrite so appends
       // never land after garbage. The recovered prefix is re-framed.
@@ -376,16 +375,10 @@ Status CoherenceStore::FlushLocked(const Bytes& data) {
   return OkStatus();
 }
 
-Status CoherenceStore::AppendLocked(const Record& record, Bytes* frame_buf) {
-  AppendFrame(*frame_buf, kRecordMagic, EncodeRecordPayload(record));
-  ++journal_records_;
-  return OkStatus();
-}
-
 Status CoherenceStore::Append(const Record& record) {
-  std::lock_guard<std::mutex> lock(mu_);
   Bytes frame;
-  RETURN_IF_ERROR(AppendLocked(record, &frame));
+  AppendFrame(frame, kRecordMagic, EncodeRecordPayload(record));
+  std::lock_guard<std::mutex> lock(mu_);
   return FlushLocked(frame);
 }
 
@@ -393,11 +386,11 @@ Status CoherenceStore::AppendBatch(const std::vector<Record>& records) {
   if (records.empty()) {
     return OkStatus();
   }
-  std::lock_guard<std::mutex> lock(mu_);
   Bytes frames;
   for (const Record& record : records) {
-    RETURN_IF_ERROR(AppendLocked(record, &frames));
+    AppendFrame(frames, kRecordMagic, EncodeRecordPayload(record));
   }
+  std::lock_guard<std::mutex> lock(mu_);
   return FlushLocked(frames);
 }
 
@@ -439,7 +432,6 @@ Status CoherenceStore::WriteSnapshot(
   RETURN_IF_ERROR(
       ReplaceFile(PathJoin(options_.dir, JournalName()), journal, sync));
   RETURN_IF_ERROR(OpenJournalLocked(/*truncate=*/false));
-  journal_records_ = own_tail.size() - first;
   ++snapshots_written_;
   if (clean) {
     RETURN_IF_ERROR(ReplaceFile(PathJoin(options_.dir, CleanMarkerName()),
@@ -456,14 +448,7 @@ Status CoherenceStore::ResetFresh() {
   AppendFrame(journal, kRecordMagic, EncodeHeaderPayload(options_.fsync));
   RETURN_IF_ERROR(ReplaceFile(PathJoin(options_.dir, JournalName()), journal,
                               options_.fsync == FsyncPolicy::kAlways));
-  RETURN_IF_ERROR(OpenJournalLocked(/*truncate=*/false));
-  journal_records_ = 0;
-  return OkStatus();
-}
-
-uint64_t CoherenceStore::journal_records() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return journal_records_;
+  return OpenJournalLocked(/*truncate=*/false);
 }
 
 uint64_t CoherenceStore::snapshots_written() const {

@@ -139,7 +139,6 @@ class CoherenceStore {
   // stay valid in memory.
   Status ResetFresh();
 
-  uint64_t journal_records() const;
   uint64_t snapshots_written() const;
   const std::string& dir() const { return options_.dir; }
 
@@ -147,13 +146,11 @@ class CoherenceStore {
   explicit CoherenceStore(Options options);
 
   Status OpenJournalLocked(bool truncate);
-  Status AppendLocked(const Record& record, Bytes* frame_buf);
   Status FlushLocked(const Bytes& data);
 
   const Options options_;
   mutable std::mutex mu_;
   int journal_fd_ = -1;                // guarded by mu_
-  uint64_t journal_records_ = 0;       // guarded by mu_
   uint64_t snapshots_written_ = 0;     // guarded by mu_
 };
 

@@ -1,4 +1,4 @@
-// HMAC (RFC 2104) over the SHA family, plus HKDF (RFC 5869) for deriving the
+// HMAC-SHA256 (RFC 2104) plus HKDF (RFC 5869) for deriving the
 // secure-channel session keys.
 #ifndef DISCFS_SRC_CRYPTO_HMAC_H_
 #define DISCFS_SRC_CRYPTO_HMAC_H_
@@ -35,14 +35,8 @@ Bytes Hmac(const Bytes& key, const Bytes& message) {
   return outer.Finish();
 }
 
-inline Bytes HmacSha1(const Bytes& key, const Bytes& msg) {
-  return Hmac<Sha1>(key, msg);
-}
 inline Bytes HmacSha256(const Bytes& key, const Bytes& msg) {
   return Hmac<Sha256>(key, msg);
-}
-inline Bytes HmacSha512(const Bytes& key, const Bytes& msg) {
-  return Hmac<Sha512>(key, msg);
 }
 
 // HKDF-SHA256.

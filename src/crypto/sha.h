@@ -1,8 +1,8 @@
-// SHA-1, SHA-256 and SHA-512 (FIPS 180-4), streaming and one-shot.
+// SHA-1 and SHA-256 (FIPS 180-4), streaming and one-shot.
 //
 // SHA-1 exists because the paper's KeyNote credentials are signed with
 // "sig-dsa-sha1-hex" (RFC 2704); DSA's 160-bit q matches SHA-1 output.
-// SHA-256/512 serve HMAC/HKDF in the secure channel and the modern
+// SHA-256 serves HMAC/HKDF in the secure channel and the modern
 // signature variant.
 #ifndef DISCFS_SRC_CRYPTO_SHA_H_
 #define DISCFS_SRC_CRYPTO_SHA_H_
@@ -62,31 +62,6 @@ class Sha256 {
   uint8_t buffer_[64];
   size_t buffered_ = 0;
   uint64_t total_len_ = 0;
-};
-
-class Sha512 {
- public:
-  static constexpr size_t kDigestSize = 64;
-  static constexpr size_t kBlockSize = 128;
-
-  Sha512();
-  void Update(const uint8_t* data, size_t len);
-  void Update(const Bytes& data) { Update(data.data(), data.size()); }
-  void Update(std::string_view data) {
-    Update(reinterpret_cast<const uint8_t*>(data.data()), data.size());
-  }
-  Bytes Finish();
-
-  static Bytes Hash(const Bytes& data);
-  static Bytes Hash(std::string_view data);
-
- private:
-  void Compress(const uint8_t block[128]);
-
-  uint64_t h_[8];
-  uint8_t buffer_[128];
-  size_t buffered_ = 0;
-  uint64_t total_len_ = 0;  // bytes; (2^64 byte inputs are out of scope)
 };
 
 }  // namespace discfs

@@ -316,9 +316,4 @@ HandshakeReactor::Stats HandshakeReactor::stats() const {
   return stats;
 }
 
-size_t HandshakeReactor::half_open() const {
-  std::lock_guard<std::mutex> lock(core_->mu);
-  return core_->entries.size();
-}
-
 }  // namespace discfs

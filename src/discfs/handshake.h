@@ -85,7 +85,6 @@ class HandshakeReactor {
   void Shutdown();
 
   Stats stats() const;
-  size_t half_open() const;
 
  private:
   struct Core;

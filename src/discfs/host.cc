@@ -96,7 +96,6 @@ Result<std::unique_ptr<DiscfsHost>> DiscfsHost::Start(
     std::shared_ptr<Vfs> vfs, DiscfsServerConfig config, uint16_t port,
     DiscfsHostOptions options) {
   const bool cluster = options.cluster_enabled ||
-                       !options.cluster_peers.empty() ||
                        !options.cluster_seeds.empty() ||
                        !options.cluster_storage_dir.empty() ||
                        !config.cluster_trusted_keys.empty();
@@ -193,9 +192,6 @@ Result<std::unique_ptr<DiscfsHost>> DiscfsHost::Start(
     host->fabric_ =
         std::make_unique<cluster::CoherenceFabric>(std::move(fabric_config));
     host->server_->AttachCoherenceFabric(host->fabric_.get());
-    for (cluster::PeerConfig& peer : options.cluster_peers) {
-      host->fabric_->AddPeer(std::move(peer));
-    }
     for (const std::string& seed : options.cluster_seeds) {
       // Skips our own advertised address, so the whole mesh can share one
       // seed list.
@@ -203,7 +199,6 @@ Result<std::unique_ptr<DiscfsHost>> DiscfsHost::Start(
     }
     // The fabric owns the live peer set from here (AddClusterPeer grows
     // it); don't retain a snapshot that would silently diverge.
-    host->options_.cluster_peers.clear();
     host->options_.cluster_seeds.clear();
   }
   // Runtime-level gauges live in the server's registry so one kServerStats

@@ -66,13 +66,10 @@ struct DiscfsHostOptions {
   size_t max_half_open_handshakes = 256;
 
   // --- cluster coherence fabric (PR 4) ---
-  // Peer DisCFS servers this host pushes invalidation events to; more can
-  // be added after start via AddClusterPeer (ports are often only known
-  // then). The fabric starts when this is non-empty, cluster_enabled is
-  // set, or the server config names trusted cluster keys.
-  std::vector<cluster::PeerConfig> cluster_peers;
-  // Forces the fabric on even with no static peers (receiver-only nodes,
-  // peers added dynamically).
+  // Starts the fabric. It also starts when cluster_seeds or
+  // cluster_storage_dir is set, or the server config names trusted
+  // cluster keys. Peers are added after start through AddClusterPeer
+  // (ports are often only known then) or learned from cluster_seeds.
   bool cluster_enabled = false;
   cluster::FabricTuning cluster_tuning;
 
@@ -81,10 +78,10 @@ struct DiscfsHostOptions {
   // in-memory: a restart draws a fresh incarnation and peers flush once.
   std::string cluster_storage_dir;
   cluster::FsyncPolicy cluster_fsync = cluster::FsyncPolicy::kNone;
-  // Seed member addresses ("host:port"). Unlike cluster_peers these are
-  // deduplicated against the node's own advertised address, so every node
-  // of a mesh can be handed the same seed list; the rest of the fleet is
-  // learned through Hello/heartbeat gossip.
+  // Seed member addresses ("host:port"), deduplicated against the node's
+  // own advertised address, so every node of a mesh can be handed the
+  // same seed list; the rest of the fleet is learned through
+  // Hello/heartbeat gossip.
   std::vector<std::string> cluster_seeds;
   // Host part of the advertised listen address peers dial back
   // ("host:<listener port>"); defaults to bind_addr.

@@ -22,12 +22,11 @@ size_t DefaultShards(size_t capacity) {
 
 }  // namespace
 
-PolicyCache::PolicyCache(size_t capacity, int64_t ttl_seconds,
-                         size_t num_shards)
+PolicyCache::PolicyCache(size_t capacity, int64_t ttl_seconds)
     : capacity_(capacity),
       ttl_seconds_(ttl_seconds),
       gen_stripes_(new GenStripe[kGenStripes]) {
-  size_t shards = num_shards != 0 ? num_shards : DefaultShards(capacity);
+  size_t shards = DefaultShards(capacity);
   per_shard_capacity_ = capacity / shards;
   if (capacity > 0 && per_shard_capacity_ == 0) {
     per_shard_capacity_ = 1;
@@ -58,7 +57,7 @@ std::optional<uint32_t> PolicyCache::Get(const std::string& key_id,
   Key key{key_id, inode};
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
-  // Lock order: shard.mu before stripe.mu. Bump takes only the stripe
+  // Lock order: shard.mu before stripe.mu. A bump takes only the stripe
   // lock, so there is no cycle.
   uint64_t current_gen = CurrentGen(key_id);
   if (capacity_ == 0) {
@@ -123,7 +122,8 @@ void PolicyCache::InvalidateAll() {
   }
 }
 
-void PolicyCache::Bump(const std::string& key_id, bool remote) {
+void PolicyCache::InvalidatePrincipal(const std::string& key_id,
+                                      bool remote) {
   (remote ? remote_bumps_ : local_bumps_)
       .fetch_add(1, std::memory_order_relaxed);
   GenStripe& stripe = StripeFor(key_id);
@@ -149,24 +149,6 @@ void PolicyCache::Bump(const std::string& key_id, bool remote) {
   }
 }
 
-void PolicyCache::InvalidatePrincipal(const std::string& key_id) {
-  Bump(key_id, /*remote=*/false);
-}
-
-void PolicyCache::InvalidatePrincipalRemote(const std::string& key_id) {
-  Bump(key_id, /*remote=*/true);
-}
-
-void PolicyCache::ResetStats() {
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    shard->stats = Stats{};
-  }
-  local_bumps_.store(0, std::memory_order_relaxed);
-  remote_bumps_.store(0, std::memory_order_relaxed);
-  generation_rebases_.store(0, std::memory_order_relaxed);
-}
-
 size_t PolicyCache::size() const {
   size_t total = 0;
   for (const auto& shard : shards_) {
@@ -180,7 +162,6 @@ PolicyCache::CoherenceStats PolicyCache::coherence_stats() const {
   CoherenceStats s;
   s.local_bumps = local_bumps_.load(std::memory_order_relaxed);
   s.remote_bumps = remote_bumps_.load(std::memory_order_relaxed);
-  s.collision_crossings = 0;  // exact generations: no shared slots left
   s.generation_rebases = generation_rebases_.load(std::memory_order_relaxed);
   return s;
 }

@@ -58,21 +58,15 @@ class PolicyCache {
   struct CoherenceStats {
     uint64_t local_bumps = 0;   // bumps from this server's own churn
     uint64_t remote_bumps = 0;  // bumps applied from peer coherence events
-    // Bumps that landed on a generation slot shared with a different
-    // principal. Always 0 since PR 6: generations are exact
-    // per-principal, so a bump can no longer touch a bystander. Kept so
-    // telemetry consumers keep compiling (and as the regression signal —
-    // nonzero would mean the blind spot came back).
-    uint64_t collision_crossings = 0;
     // Stripe rebases: a gen stripe hit its tracked-principal bound and
     // over-invalidated everything it covered (bounded memory, not a
     // correctness event).
     uint64_t generation_rebases = 0;
   };
 
-  // capacity 0 disables caching entirely (every query recomputes).
-  // num_shards 0 picks a capacity-derived default.
-  PolicyCache(size_t capacity, int64_t ttl_seconds, size_t num_shards = 0);
+  // capacity 0 disables caching entirely (every query recomputes). The
+  // shard count derives from the capacity.
+  PolicyCache(size_t capacity, int64_t ttl_seconds);
 
   // Returns the cached permission mask, or nullopt on miss, expiry, or a
   // stale generation (the latter two erase the entry).
@@ -90,15 +84,9 @@ class PolicyCache {
   // stamps the generation current at Put time, so the caller must ensure
   // no compute-then-Put cycle straddles an invalidation (DiscfsServer does:
   // queries Put under the shared lock, invalidation runs exclusive).
-  void InvalidatePrincipal(const std::string& key_id);
-
-  // Same bump, driven by a peer server's coherence event rather than
-  // local churn; counted separately in coherence_stats().
-  void InvalidatePrincipalRemote(const std::string& key_id);
-
-  // Zeroes the hit/miss/eviction counters (entries stay). Benchmark
-  // telemetry only.
-  void ResetStats();
+  // `remote` marks a bump driven by a peer server's coherence event
+  // rather than local churn; coherence_stats() counts the two apart.
+  void InvalidatePrincipal(const std::string& key_id, bool remote = false);
 
   // Resident entries; may transiently count generation-stale entries that
   // have not been touched since their principal was invalidated.
@@ -155,7 +143,6 @@ class PolicyCache {
   GenStripe& StripeFor(const std::string& key_id);
   // The principal's current generation (its stripe's base if untracked).
   uint64_t CurrentGen(const std::string& key_id);
-  void Bump(const std::string& key_id, bool remote);
 
   size_t capacity_;
   size_t per_shard_capacity_;

@@ -14,6 +14,13 @@
 namespace discfs {
 namespace {
 
+// Verified-signature cache entries (H(key‖digest‖sig) of successful
+// verifies): re-submitted or replayed credentials skip the DSA modexp.
+constexpr size_t kSignatureCacheSize = 4096;
+// How long revocation-list entries are remembered (paper §4.1: as long
+// as the longest credential lifetime).
+constexpr int64_t kRevocationHorizonS = 24 * 3600;
+
 std::string DefaultPolicy(const DsaPublicKey& server_key) {
   return "Authorizer: \"POLICY\"\n"
          "Licensees: \"" + server_key.ToKeyNoteString() + "\"\n"
@@ -33,8 +40,8 @@ DiscfsServer::DiscfsServer(std::shared_ptr<Vfs> vfs,
       lockbox_(std::make_unique<LockboxService>(nfs_.get(), chunkstore_.get())),
       session_(keynote::PermissionLattice::Get()),
       cache_(config_.policy_cache_size, config_.policy_cache_ttl_s),
-      revocation_(config_.revocation_horizon_s),
-      sig_cache_(config_.signature_cache_size) {}
+      revocation_(kRevocationHorizonS),
+      sig_cache_(kSignatureCacheSize) {}
 
 Result<std::unique_ptr<DiscfsServer>> DiscfsServer::Create(
     std::shared_ptr<Vfs> vfs, DiscfsServerConfig config) {
@@ -176,12 +183,38 @@ Status DiscfsServer::AddPolicyAssertion(const std::string& text) {
 }
 
 std::vector<std::string> DiscfsServer::InvalidateAffectedLocked(
-    const std::string& credential_id) {
+    const std::string& credential_id, bool remote) {
   std::vector<std::string> affected =
       session_.AffectedRequesters(credential_id);
   for (const std::string& principal : affected) {
-    cache_.InvalidatePrincipal(principal);
+    cache_.InvalidatePrincipal(principal, remote);
   }
+  return affected;
+}
+
+Result<std::vector<std::string>> DiscfsServer::ExpelCredentialLocked(
+    const std::string& id, bool remote) {
+  // The closure is computed while the chain is still installed (empty
+  // for a credential unknown here).
+  std::vector<std::string> affected = InvalidateAffectedLocked(id, remote);
+  RETURN_IF_ERROR(session_.RemoveCredential(id));
+  return affected;
+}
+
+std::vector<std::string> DiscfsServer::RevokeKeyLocked(
+    const std::string& principal, int64_t now, uint64_t trace, bool remote) {
+  std::vector<std::string> affected;
+  // Delegations issued by the revoked key stop contributing immediately.
+  for (const std::string& id :
+       session_.CredentialIdsByAuthorizer(principal)) {
+    revocation_.RevokeCredential(id, now, trace);
+    Result<std::vector<std::string>> cut = ExpelCredentialLocked(id, remote);
+    if (cut.ok()) {
+      affected.insert(affected.end(), cut->begin(), cut->end());
+    }
+  }
+  // The key's own cached grants must not outlive its revocation.
+  cache_.InvalidatePrincipal(principal, remote);
   return affected;
 }
 
@@ -213,7 +246,7 @@ Result<std::string> DiscfsServer::InstallCredentialLocked(
   cluster::CoherenceEvent event;
   event.type = cluster::CoherenceEvent::Type::kSubmit;
   event.credential_id = id;
-  event.principals = InvalidateAffectedLocked(id);
+  event.principals = InvalidateAffectedLocked(id, /*remote=*/false);
   PublishChurnLocked(std::move(event));
   return id;
 }
@@ -301,17 +334,19 @@ Status DiscfsServer::RemoveCredential(const std::string& credential_id) {
   std::lock_guard<WriterPreferringMutex> lock(mu_);
   revocation_.RevokeCredential(credential_id, clock_->NowUnix(),
                                obs::CurrentTraceId());
-  // Compute the closure while the chain is still known (empty when the
-  // credential was never installed here).
+  Result<std::vector<std::string>> affected =
+      ExpelCredentialLocked(credential_id, /*remote=*/false);
   cluster::CoherenceEvent event;
   event.type = cluster::CoherenceEvent::Type::kRemove;
   event.credential_id = credential_id;
-  event.principals = InvalidateAffectedLocked(credential_id);
+  if (affected.ok()) {
+    event.principals = std::move(affected).value();
+  }
   // Publish even when the credential is unknown locally: the revocation
   // list entry above is already effective on this server, and a peer that
   // does hold the credential recomputes its own closure on receipt.
   PublishChurnLocked(std::move(event));
-  return session_.RemoveCredential(credential_id);
+  return affected.status();
 }
 
 void DiscfsServer::RevokeKey(const std::string& principal) {
@@ -322,17 +357,7 @@ void DiscfsServer::RevokeKey(const std::string& principal) {
   cluster::CoherenceEvent event;
   event.type = cluster::CoherenceEvent::Type::kRevokeKey;
   event.principal = principal;
-  // Delegations issued by the revoked key stop contributing immediately.
-  for (const std::string& id :
-       session_.CredentialIdsByAuthorizer(principal)) {
-    revocation_.RevokeCredential(id, now, trace);
-    for (std::string& p : InvalidateAffectedLocked(id)) {
-      event.principals.push_back(std::move(p));
-    }
-    (void)session_.RemoveCredential(id);
-  }
-  // The key's own cached grants must not outlive its revocation.
-  cache_.InvalidatePrincipal(principal);
+  event.principals = RevokeKeyLocked(principal, now, trace, /*remote=*/false);
   std::sort(event.principals.begin(), event.principals.end());
   event.principals.erase(
       std::unique(event.principals.begin(), event.principals.end()),
@@ -340,21 +365,12 @@ void DiscfsServer::RevokeKey(const std::string& principal) {
   PublishChurnLocked(std::move(event));
 }
 
-void DiscfsServer::ResetTelemetry() {
-  std::lock_guard<WriterPreferringMutex> lock(mu_);
-  cache_.ResetStats();
-  sig_cache_.ResetStats();
-  counters_.keynote_queries.store(0, std::memory_order_relaxed);
-  counters_.access_checks.store(0, std::memory_order_relaxed);
-  counters_.denials.store(0, std::memory_order_relaxed);
-}
-
 DiscfsServer::ServerStatsSnapshot DiscfsServer::stats_snapshot() const {
   ServerStatsSnapshot snap;
   snap.cache = cache_.stats();            // internally synchronized
   snap.coherence = cache_.coherence_stats();
   snap.signatures = sig_cache_.stats();   // internally synchronized
-  snap.cluster = cluster_health();
+  snap.cluster = fabric_stats();
   std::shared_lock<WriterPreferringMutex> lock(mu_);
   snap.credential_count = session_.credential_count();
   snap.revocation_entries = revocation_.size();
@@ -375,37 +391,23 @@ void DiscfsServer::ApplyRemoteEvent(const cluster::CoherenceEvent& event) {
       // A credential admitted elsewhere may widen the listed principals'
       // masks; drop their cached results so the next check recomputes.
       for (const std::string& principal : event.principals) {
-        cache_.InvalidatePrincipalRemote(principal);
+        cache_.InvalidatePrincipal(principal, /*remote=*/true);
       }
       break;
     case cluster::CoherenceEvent::Type::kRemove:
       revocation_.RevokeCredential(event.credential_id, now, event.trace_id);
-      if (session_.HasCredential(event.credential_id)) {
-        // Our own delegation graph may reach principals the origin's did
-        // not; invalidate the local closure too, then expel the chain.
-        for (const std::string& principal :
-             session_.AffectedRequesters(event.credential_id)) {
-          cache_.InvalidatePrincipalRemote(principal);
-        }
-        (void)session_.RemoveCredential(event.credential_id);
-      }
+      // Our own delegation graph may reach principals the origin's did
+      // not; invalidate the local closure too, then expel the chain.
+      (void)ExpelCredentialLocked(event.credential_id, /*remote=*/true);
       for (const std::string& principal : event.principals) {
-        cache_.InvalidatePrincipalRemote(principal);
+        cache_.InvalidatePrincipal(principal, /*remote=*/true);
       }
       break;
     case cluster::CoherenceEvent::Type::kRevokeKey:
       revocation_.RevokeKey(event.principal, now, event.trace_id);
-      for (const std::string& id :
-           session_.CredentialIdsByAuthorizer(event.principal)) {
-        revocation_.RevokeCredential(id, now, event.trace_id);
-        for (const std::string& principal : session_.AffectedRequesters(id)) {
-          cache_.InvalidatePrincipalRemote(principal);
-        }
-        (void)session_.RemoveCredential(id);
-      }
-      cache_.InvalidatePrincipalRemote(event.principal);
+      RevokeKeyLocked(event.principal, now, event.trace_id, /*remote=*/true);
       for (const std::string& principal : event.principals) {
-        cache_.InvalidatePrincipalRemote(principal);
+        cache_.InvalidatePrincipal(principal, /*remote=*/true);
       }
       break;
     case cluster::CoherenceEvent::Type::kInvalidateAll:
@@ -414,8 +416,8 @@ void DiscfsServer::ApplyRemoteEvent(const cluster::CoherenceEvent& event) {
   }
 }
 
-cluster::ClusterHealth DiscfsServer::cluster_health() const {
-  return fabric_ == nullptr ? cluster::ClusterHealth{} : fabric_->Health();
+cluster::FabricStats DiscfsServer::fabric_stats() const {
+  return fabric_ == nullptr ? cluster::FabricStats{} : fabric_->stats();
 }
 
 Bytes DiscfsServer::SerializeRevocations() const {
@@ -438,30 +440,18 @@ size_t DiscfsServer::MergeRevocations(const Bytes& blob) {
   // Newly learned entries get the same local effects as a pushed
   // revocation event would have had (ApplyRemoteEvent's kRemove /
   // kRevokeKey arms), minus the origin's closure hints — our own
-  // delegation graph supplies the affected principals.
+  // delegation graph supplies the affected principals. The merge already
+  // recorded these entries with the peer's timestamps; nothing here
+  // re-stamps them.
   for (const RevocationList::MergeResult::NewEntry& entry :
        merged->new_credentials) {
     trace_log_.Record(entry.trace_id, "anti-entropy", "credential");
-    if (session_.HasCredential(entry.id)) {
-      for (const std::string& principal :
-           session_.AffectedRequesters(entry.id)) {
-        cache_.InvalidatePrincipalRemote(principal);
-      }
-      (void)session_.RemoveCredential(entry.id);
-    }
+    (void)ExpelCredentialLocked(entry.id, /*remote=*/true);
   }
   for (const RevocationList::MergeResult::NewEntry& entry :
        merged->new_keys) {
     trace_log_.Record(entry.trace_id, "anti-entropy", "key");
-    for (const std::string& id :
-         session_.CredentialIdsByAuthorizer(entry.id)) {
-      revocation_.RevokeCredential(id, now, entry.trace_id);
-      for (const std::string& principal : session_.AffectedRequesters(id)) {
-        cache_.InvalidatePrincipalRemote(principal);
-      }
-      (void)session_.RemoveCredential(id);
-    }
-    cache_.InvalidatePrincipalRemote(entry.id);
+    RevokeKeyLocked(entry.id, now, entry.trace_id, /*remote=*/true);
   }
   return merged->new_keys.size() + merged->new_credentials.size();
 }
@@ -929,22 +919,21 @@ void DiscfsServer::RegisterServerMetrics() {
   // staleness a dashboard actually alerts on.
   metrics_.RegisterGauge(
       "discfs_cluster_head_seq", "Origin coherence log head", [this, one] {
-        return one(static_cast<double>(cluster_health().head_seq));
+        return one(static_cast<double>(fabric_stats().head_seq));
       });
   auto per_peer = [this](auto field) {
-    cluster::ClusterHealth health = cluster_health();
+    cluster::FabricStats stats = fabric_stats();
     std::vector<obs::GaugeSample> out;
-    out.reserve(health.peers.size());
-    for (const cluster::PeerHealth& peer : health.peers) {
-      out.push_back(
-          {"peer=\"" + peer.address + "\"", field(health, peer)});
+    out.reserve(stats.peers.size());
+    for (const cluster::PeerHealth& peer : stats.peers) {
+      out.push_back({"peer=\"" + peer.address + "\"", field(stats, peer)});
     }
     return out;
   };
   metrics_.RegisterGauge(
       "discfs_cluster_peer_healthy", "1 = peer heard from within deadline",
       [per_peer] {
-        return per_peer([](const cluster::ClusterHealth&,
+        return per_peer([](const cluster::FabricStats&,
                            const cluster::PeerHealth& p) {
           return p.healthy ? 1.0 : 0.0;
         });
@@ -952,7 +941,7 @@ void DiscfsServer::RegisterServerMetrics() {
   metrics_.RegisterGauge(
       "discfs_cluster_peer_connected", "1 = transport to peer established",
       [per_peer] {
-        return per_peer([](const cluster::ClusterHealth&,
+        return per_peer([](const cluster::FabricStats&,
                            const cluster::PeerHealth& p) {
           return p.connected ? 1.0 : 0.0;
         });
@@ -960,10 +949,10 @@ void DiscfsServer::RegisterServerMetrics() {
   metrics_.RegisterGauge(
       "discfs_cluster_peer_ack_lag",
       "Events published here the peer has not acked", [per_peer] {
-        return per_peer([](const cluster::ClusterHealth& h,
+        return per_peer([](const cluster::FabricStats& s,
                            const cluster::PeerHealth& p) {
-          return p.acked_seq <= h.head_seq
-                     ? static_cast<double>(h.head_seq - p.acked_seq)
+          return p.acked_seq <= s.head_seq
+                     ? static_cast<double>(s.head_seq - p.acked_seq)
                      : 0.0;
         });
       });

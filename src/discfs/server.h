@@ -20,7 +20,7 @@
 #include <string>
 
 #include "src/cluster/event.h"
-#include "src/cluster/membership.h"
+#include "src/cluster/fabric.h"
 #include "src/crypto/dsa.h"
 #include "src/discfs/policy_cache.h"
 #include "src/discfs/protocol.h"
@@ -40,10 +40,6 @@ namespace discfs {
 
 class WorkerPool;
 
-namespace cluster {
-class CoherenceFabric;
-}  // namespace cluster
-
 struct DiscfsServerConfig {
   // The server's identity: authenticates the secure channel AND signs the
   // credentials minted by CREATE/MKDIR. The default policy trusts it.
@@ -53,11 +49,6 @@ struct DiscfsServerConfig {
   std::vector<std::string> policy_assertions;
   size_t policy_cache_size = 128;   // paper's search benchmark setting
   int64_t policy_cache_ttl_s = 60;  // bounded staleness for time conditions
-  // Verified-signature cache entries (H(key‖digest‖sig) of successful
-  // verifies): re-submitted/replayed credentials skip the DSA modexp.
-  // 0 disables.
-  size_t signature_cache_size = 4096;
-  int64_t revocation_horizon_s = 24 * 3600;
   const Clock* clock = nullptr;  // defaults to SystemClock
   // Handshake randomness for the host's channels; defaults to
   // SysRandomBytes.
@@ -147,18 +138,17 @@ class DiscfsServer {
   }
   const Counters& counters() const { return counters_; }
 
-  // One coherent view of every subsystem's statistics (PR 9). Replaces
-  // the former cache_stats / cache_coherence_stats / signature_cache_stats
-  // / cluster_health accessors; both the kServerStats exposition and the
-  // tests read through this.
+  // One coherent view of every subsystem's statistics (PR 9). Every
+  // count only goes up: a phase is the difference of two snapshots.
   struct ServerStatsSnapshot {
     PolicyCache::Stats cache;
     PolicyCache::CoherenceStats coherence;
     // Verified-signature cache telemetry: benches and tests observe
     // replay-skip behavior directly instead of inferring it from timing.
     keynote::VerifiedSignatureCache::Stats signatures;
-    // Peer liveness snapshot from the attached fabric (empty standalone).
-    cluster::ClusterHealth cluster;
+    // The attached fabric's stats(), peer liveness included (empty
+    // standalone).
+    cluster::FabricStats cluster;
     size_t credential_count = 0;
     size_t revocation_entries = 0;
   };
@@ -186,10 +176,6 @@ class DiscfsServer {
   // holds on `inode`, going through the cache.
   uint32_t EffectiveMask(const std::string& principal, uint32_t inode);
 
-  // Zeroes counters and cache statistics (cache contents survive) so a
-  // benchmark can report one phase in isolation.
-  void ResetTelemetry();
-
  private:
   DiscfsServer(std::shared_ptr<Vfs> vfs, DiscfsServerConfig config);
 
@@ -202,10 +188,27 @@ class DiscfsServer {
       /* requires mu_ exclusive */;
   // Bumps the cache generation of every principal whose delegation chain
   // passes through credential `id`; entries for everyone else stay warm.
+  // `remote` counts the bumps as a peer's churn rather than this server's.
   // Returns the affected set — the closure hint shipped in coherence
   // events (computed while the chain is still installed).
   std::vector<std::string> InvalidateAffectedLocked(
-      const std::string& credential_id) /* requires mu_ exclusive */;
+      const std::string& credential_id, bool remote)
+      /* requires mu_ exclusive */;
+  // The effects of revoking credential `id`, wherever the revocation came
+  // from (local call, peer event, anti-entropy merge): invalidates its
+  // closure and removes it from the session. NOT_FOUND (and no effect)
+  // when it is not installed here. The caller records the revocation-list
+  // entry.
+  Result<std::vector<std::string>> ExpelCredentialLocked(
+      const std::string& id, bool remote) /* requires mu_ exclusive */;
+  // The effects of revoking key `principal`: every credential it issued
+  // is recorded revoked (at `now`, carrying `trace`) and expelled, and the
+  // key's own cached grants are invalidated. Returns the principals whose
+  // chains were cut. The caller records the key's own entry.
+  std::vector<std::string> RevokeKeyLocked(const std::string& principal,
+                                           int64_t now, uint64_t trace,
+                                           bool remote)
+      /* requires mu_ exclusive */;
   // Appends a churn event to the fabric (no-op without one).
   void PublishChurnLocked(cluster::CoherenceEvent event)
       /* requires mu_ exclusive */;
@@ -219,8 +222,8 @@ class DiscfsServer {
   // Wraps every subsystem's Stats struct in registry gauges (scrape-time
   // callbacks; no hot-path cost).
   void RegisterServerMetrics();
-  // Peer liveness snapshot from the attached fabric (empty standalone).
-  cluster::ClusterHealth cluster_health() const;
+  // The attached fabric's stats (empty standalone).
+  cluster::FabricStats fabric_stats() const;
 
   std::shared_ptr<Vfs> vfs_;
   DiscfsServerConfig config_;

@@ -32,6 +32,9 @@ uint64_t LoadU64(const uint8_t* p) {
 void StoreU32(uint8_t* p, uint32_t v) { std::memcpy(p, &v, 4); }
 void StoreU64(uint8_t* p, uint64_t v) { std::memcpy(p, &v, 8); }
 
+// Inode timestamps (seconds).
+int64_t NowUnix() { return SystemClock::Get()->NowUnix(); }
+
 }  // namespace
 
 // On-disk superblock, serialized into block 0.
@@ -222,8 +225,7 @@ struct Ffs::InodeCache {
 };
 
 Ffs::Ffs(std::shared_ptr<BlockDevice> device, const FfsMountOptions& options)
-    : now_([] { return SystemClock::Get()->NowUnix(); }),
-      icache_(std::make_unique<InodeCache>(kInodeCacheEntries)) {
+    : icache_(std::make_unique<InodeCache>(kInodeCacheEntries)) {
   if (options.cache.capacity_blocks > 0) {
     auto cache = std::make_shared<BlockCache>(std::move(device),
                                               options.cache);
@@ -443,7 +445,7 @@ Result<InodeNum> Ffs::AllocInode(FileType type, uint32_t mode) {
   node.mode = mode & 07777;
   node.nlink = 1;
   node.generation = old.generation + 1;  // never resurrect stale handles
-  int64_t now = now_();
+  int64_t now = NowUnix();
   node.atime = node.mtime = node.ctime = now;
   RETURN_IF_ERROR(WriteInode(inode, node));
   sb_->free_inodes--;
@@ -696,7 +698,7 @@ Result<size_t> Ffs::WriteInternal(InodeNum inode, DiskInode& node,
     node.size = offset + len;
     dirty = true;
   }
-  node.mtime = now_();
+  node.mtime = NowUnix();
   RETURN_IF_ERROR(WriteInode(inode, node));
   (void)dirty;
   return done;
@@ -855,7 +857,7 @@ Status Ffs::SetAttr(InodeNum inode, const SetAttrRequest& request) {
   if (request.mtime.has_value()) {
     node.mtime = *request.mtime;
   }
-  node.ctime = now_();
+  node.ctime = NowUnix();
   return WriteInode(inode, node);
 }
 
@@ -953,7 +955,7 @@ Status Ffs::Link(InodeNum dir, const std::string& name, InodeNum target) {
   }
   RETURN_IF_ERROR(AddEntry(dir, dir_node, name, target, FileType::kRegular));
   target_node.nlink++;
-  target_node.ctime = now_();
+  target_node.ctime = NowUnix();
   return WriteInode(target, target_node);
 }
 
@@ -972,7 +974,7 @@ Status Ffs::Remove(InodeNum dir, const std::string& name) {
     RETURN_IF_ERROR(FreeInode(found->second.inode));
   } else {
     node.nlink--;
-    node.ctime = now_();
+    node.ctime = NowUnix();
     RETURN_IF_ERROR(WriteInode(found->second.inode, node));
   }
   return OkStatus();

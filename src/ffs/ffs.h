@@ -173,9 +173,6 @@ class Ffs {
   // Full-volume consistency check (reachability, bitmaps, link counts).
   Result<FsckReport> Check();
 
-  // Current time source for inode timestamps (seconds); tests may override.
-  void SetTimeSource(std::function<int64_t()> now) { now_ = std::move(now); }
-
  private:
   struct Superblock;
   struct DiskInode;
@@ -245,7 +242,6 @@ class Ffs {
   // (cache_ points into it), otherwise the raw device.
   std::shared_ptr<BlockDevice> dev_;
   BlockCache* cache_ = nullptr;
-  std::function<int64_t()> now_;
   std::unique_ptr<Superblock> sb_;
   // Serializes allocation state: bitmap find/set, superblock counters and
   // cursors, and StatFs.

@@ -358,11 +358,6 @@ AssertionBuilder& AssertionBuilder::SetAuthorizer(std::string principal) {
   return *this;
 }
 
-AssertionBuilder& AssertionBuilder::SetPolicyAuthorizer() {
-  authorizer_ = kPolicyPrincipal;
-  return *this;
-}
-
 AssertionBuilder& AssertionBuilder::SetLicensees(std::string expression) {
   licensees_ = std::move(expression);
   return *this;

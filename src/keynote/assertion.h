@@ -106,7 +106,6 @@ class Assertion {
 class AssertionBuilder {
  public:
   AssertionBuilder& SetAuthorizer(std::string principal);
-  AssertionBuilder& SetPolicyAuthorizer();  // Authorizer: "POLICY"
   AssertionBuilder& SetLicensees(std::string expression);
   AssertionBuilder& SetConditions(std::string conditions);
   AssertionBuilder& SetComment(std::string comment);

@@ -46,7 +46,6 @@ class KeyNoteSession {
 
   bool HasCredential(const std::string& id) const;
   size_t credential_count() const { return credentials_.size(); }
-  size_t policy_count() const { return policies_.size(); }
 
   // Ids of all credentials whose Authorizer is `principal` (used when a key
   // is revoked: its delegations must stop contributing). Served from the

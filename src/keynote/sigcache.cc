@@ -32,10 +32,9 @@ void AppendDelimited(Bytes& out, const uint8_t* data, size_t len) {
 
 }  // namespace
 
-VerifiedSignatureCache::VerifiedSignatureCache(size_t capacity,
-                                               size_t num_shards)
+VerifiedSignatureCache::VerifiedSignatureCache(size_t capacity)
     : capacity_(capacity) {
-  size_t shards = num_shards != 0 ? num_shards : DefaultShards(capacity);
+  size_t shards = DefaultShards(capacity);
   per_shard_capacity_ = capacity / shards;
   if (capacity > 0 && per_shard_capacity_ == 0) {
     per_shard_capacity_ = 1;
@@ -100,13 +99,6 @@ void VerifiedSignatureCache::Insert(const Bytes& key) {
   }
   shard.lru.push_front(k);
   shard.entries.emplace(std::move(k), shard.lru.begin());
-}
-
-void VerifiedSignatureCache::ResetStats() {
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    shard->stats = Stats{};
-  }
 }
 
 size_t VerifiedSignatureCache::size() const {

@@ -36,8 +36,8 @@ class VerifiedSignatureCache {
   };
 
   // capacity 0 disables caching (every Contains misses, Insert drops).
-  // num_shards 0 picks a capacity-derived default.
-  explicit VerifiedSignatureCache(size_t capacity, size_t num_shards = 0);
+  // The shard count derives from the capacity.
+  explicit VerifiedSignatureCache(size_t capacity);
 
   // Digest of one verification instance: SHA-256 over the authorizer key
   // string, a digest of the credential content (canonical, so equivalent
@@ -52,8 +52,6 @@ class VerifiedSignatureCache {
 
   // Records a successful verification. Idempotent.
   void Insert(const Bytes& key);
-
-  void ResetStats();
 
   size_t size() const;
   size_t capacity() const { return capacity_; }

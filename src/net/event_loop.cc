@@ -130,11 +130,6 @@ void EventLoop::RunAfter(uint64_t delay_ms, Task task) {
   (void)ignored;
 }
 
-size_t EventLoop::timers_armed() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return timers_.size();
-}
-
 void EventLoop::Post(Task task) {
   {
     std::lock_guard<std::mutex> lock(mu_);

@@ -80,9 +80,6 @@ class EventLoop {
   // loop stops are destroyed without running, like posted tasks.
   void RunAfter(uint64_t delay_ms, Task task);
 
-  // Timers currently armed (diagnostics).
-  size_t timers_armed() const;
-
   // True when called from the poller thread (i.e. from a callback/task).
   bool InLoopThread() const;
 

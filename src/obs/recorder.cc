@@ -16,44 +16,43 @@ RpcRecorder::RpcRecorder(MetricsRegistry* registry)
       slow_counter_(registry->GetCounter(
           "discfs_rpc_slow_ops_total",
           "RPC calls whose total span exceeded the slow threshold")),
-      shed_counter_(registry->GetCounter(
-          "discfs_rpc_shed_total",
-          "RPC calls busy-rejected by admission control or a shed "
-          "watermark")),
-      expired_counter_(registry->GetCounter(
-          "discfs_rpc_expired_total",
-          "RPC calls dropped at dequeue with an already-expired deadline")),
       send_queue_depth_(registry->GetHistogram(
           "discfs_rpc_send_queue_depth", "",
           "Per-connection reply queue depth at reply enqueue")),
       pool_queue_depth_(registry->GetHistogram(
           "discfs_rpc_pool_queue_depth", "",
-          "Shared worker pool backlog at request submit")) {}
+          "Shared worker pool backlog at request submit")) {
+  registry->RegisterGauge(
+      "discfs_rpc_shed_total",
+      "RPC calls busy-rejected by admission control or a shed watermark, "
+      "by {class}",
+      [this] {
+        static constexpr const char* kClassLabels[kPriorityClasses] = {
+            "class=\"control\"", "class=\"namespace\"", "class=\"data\""};
+        std::vector<GaugeSample> out;
+        for (size_t c = 0; c < kPriorityClasses; ++c) {
+          out.push_back({kClassLabels[c], static_cast<double>(shed_total(c))});
+        }
+        return out;
+      });
+  registry->RegisterGauge(
+      "discfs_rpc_expired_total",
+      "RPC calls dropped at dequeue with an already-expired deadline",
+      [this] {
+        return std::vector<GaugeSample>{
+            {"", static_cast<double>(expired_total())}};
+      });
+}
 
-void RpcRecorder::RecordShed(uint32_t prog, uint32_t proc,
-                             size_t priority_class) {
+void RpcRecorder::RecordShed(size_t priority_class) {
   if (priority_class >= kPriorityClasses) {
     priority_class = kPriorityClasses - 1;
   }
   shed_by_class_[priority_class].fetch_add(1, std::memory_order_relaxed);
-  shed_counter_->Add(1);
-  std::lock_guard<std::mutex> lock(overload_mu_);
-  ++shed_by_proc_[(static_cast<uint64_t>(prog) << 32) | proc];
 }
 
-void RpcRecorder::RecordExpired(uint32_t prog, uint32_t proc) {
+void RpcRecorder::RecordExpired() {
   expired_total_.fetch_add(1, std::memory_order_relaxed);
-  expired_counter_->Add(1);
-  std::lock_guard<std::mutex> lock(overload_mu_);
-  ++expired_by_proc_[(static_cast<uint64_t>(prog) << 32) | proc];
-}
-
-uint64_t RpcRecorder::shed_total() const {
-  uint64_t total = 0;
-  for (const auto& c : shed_by_class_) {
-    total += c.load(std::memory_order_relaxed);
-  }
-  return total;
 }
 
 uint64_t RpcRecorder::shed_total(size_t priority_class) const {
@@ -65,16 +64,6 @@ uint64_t RpcRecorder::shed_total(size_t priority_class) const {
 
 uint64_t RpcRecorder::expired_total() const {
   return expired_total_.load(std::memory_order_relaxed);
-}
-
-std::unordered_map<uint64_t, uint64_t> RpcRecorder::shed_by_proc() const {
-  std::lock_guard<std::mutex> lock(overload_mu_);
-  return shed_by_proc_;
-}
-
-std::unordered_map<uint64_t, uint64_t> RpcRecorder::expired_by_proc() const {
-  std::lock_guard<std::mutex> lock(overload_mu_);
-  return expired_by_proc_;
 }
 
 RpcRecorder::PerProc* RpcRecorder::GetPerProc(uint32_t prog, uint32_t proc) {

@@ -67,27 +67,21 @@ class RpcRecorder {
                   uint64_t trace_id);
 
   // --- overload accounting (PR 10) ---
-  // Shed (busy-rejected) and expired-at-dequeue counts per (prog, proc).
+  // The one count of shed (busy-rejected) and expired-at-dequeue calls,
+  // exported as discfs_rpc_shed_total{class} and discfs_rpc_expired_total.
   // Unlike the span histograms these always count — they only fire on
   // overload events, which are off the happy path — so tests and the
   // overload bench read exact totals even with the registry disabled.
   // priority_class is the numeric RpcPriority (0 control, 1 namespace,
   // 2 data); out-of-range values clamp to the last class.
-  void RecordShed(uint32_t prog, uint32_t proc, size_t priority_class);
-  void RecordExpired(uint32_t prog, uint32_t proc);
-  uint64_t shed_total() const;
+  void RecordShed(size_t priority_class);
+  void RecordExpired();
   uint64_t shed_total(size_t priority_class) const;
   uint64_t expired_total() const;
-  // Per-procedure breakdowns, keyed prog << 32 | proc.
-  std::unordered_map<uint64_t, uint64_t> shed_by_proc() const;
-  std::unordered_map<uint64_t, uint64_t> expired_by_proc() const;
 
   // Slow-op threshold on the total span; 0 records every call.
   void set_slow_threshold_ns(uint64_t ns) {
     slow_threshold_ns_.store(ns, std::memory_order_relaxed);
-  }
-  uint64_t slow_threshold_ns() const {
-    return slow_threshold_ns_.load(std::memory_order_relaxed);
   }
   // Most recent slow operations (bounded ring, newest last).
   std::vector<SlowOp> slow_ops() const;
@@ -114,8 +108,6 @@ class RpcRecorder {
   MetricsRegistry* const registry_;
   Counter* const calls_total_;
   Counter* const slow_counter_;
-  Counter* const shed_counter_;
-  Counter* const expired_counter_;
   Histogram* const send_queue_depth_;
   Histogram* const pool_queue_depth_;
   std::atomic<uint64_t> slow_threshold_ns_{100'000'000};  // 100 ms
@@ -130,9 +122,6 @@ class RpcRecorder {
 
   std::atomic<uint64_t> shed_by_class_[kPriorityClasses] = {};
   std::atomic<uint64_t> expired_total_{0};
-  mutable std::mutex overload_mu_;
-  std::unordered_map<uint64_t, uint64_t> shed_by_proc_;
-  std::unordered_map<uint64_t, uint64_t> expired_by_proc_;
 };
 
 }  // namespace discfs::obs

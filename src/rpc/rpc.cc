@@ -149,8 +149,7 @@ RpcClient::~RpcClient() {
 
 std::future<Result<Bytes>> RpcClient::CallAsync(uint32_t prog, uint32_t proc,
                                                 const Bytes& args) {
-  return CallAsyncWithDeadline(
-      prog, proc, args, default_deadline_ms_.load(std::memory_order_relaxed));
+  return CallAsyncWithDeadline(prog, proc, args, /*deadline_ms=*/0);
 }
 
 std::future<Result<Bytes>> RpcClient::CallAsyncWithDeadline(
@@ -538,12 +537,8 @@ void RpcConnection::PumpReads() {
       // storm must not grow the queue unboundedly either: once the queue
       // reaches its limit, pause reads until the drain works it back
       // down.
-      busy_rejected_.fetch_add(1, std::memory_order_relaxed);
-      shed_by_priority_[static_cast<size_t>(priority)].fetch_add(
-          1, std::memory_order_relaxed);
       if (rec != nullptr) {
-        rec->RecordShed(call->prog, call->proc,
-                        static_cast<size_t>(priority));
+        rec->RecordShed(static_cast<size_t>(priority));
       }
       std::unique_lock<std::mutex> lock(mu_);
       if (!closed_ && !send_broken_) {
@@ -619,9 +614,8 @@ void RpcConnection::ExecuteOnPool(uint32_t xid, uint32_t prog, uint32_t proc,
     // Expired at dequeue: the caller has already given up, so executing
     // would burn a worker on a reply nobody reads. Answer without
     // dispatching.
-    expired_dropped_.fetch_add(1, std::memory_order_relaxed);
     if (rec != nullptr) {
-      rec->RecordExpired(prog, proc);
+      rec->RecordExpired();
     }
     reply = EncodeReply(
         xid, DeadlineExceededError("deadline expired before execution"));
@@ -841,19 +835,6 @@ bool RpcConnection::closed() const {
 size_t RpcConnection::send_queue_peak() const {
   std::lock_guard<std::mutex> lock(mu_);
   return queue_peak_;
-}
-
-uint64_t RpcConnection::busy_rejected() const {
-  return busy_rejected_.load(std::memory_order_relaxed);
-}
-
-uint64_t RpcConnection::shed_by_priority(RpcPriority priority) const {
-  return shed_by_priority_[static_cast<size_t>(priority)].load(
-      std::memory_order_relaxed);
-}
-
-uint64_t RpcConnection::expired_dropped() const {
-  return expired_dropped_.load(std::memory_order_relaxed);
 }
 
 }  // namespace discfs

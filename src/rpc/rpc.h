@@ -95,13 +95,6 @@ class RpcClient {
   Result<Bytes> CallWithDeadline(uint32_t prog, uint32_t proc,
                                  const Bytes& args, uint32_t deadline_ms);
 
-  // Default budget applied to every Call/CallAsync that does not name its
-  // own deadline. 0 (the default) keeps the historical block-forever
-  // behavior.
-  void set_default_deadline_ms(uint32_t ms) {
-    default_deadline_ms_.store(ms, std::memory_order_relaxed);
-  }
-
   // Fails all in-flight calls, makes future calls fail immediately, and
   // tears down the stream. Safe to call from any thread, including while
   // calls are blocked.
@@ -142,7 +135,6 @@ class RpcClient {
 
   // Deadline reaper: earliest-first queue of (expiry, xid). Entries for
   // calls that already completed fire as no-ops (pending_ probe misses).
-  std::atomic<uint32_t> default_deadline_ms_{0};
   std::mutex deadline_mu_;
   std::condition_variable deadline_cv_;
   std::multimap<std::chrono::steady_clock::time_point, uint32_t> deadlines_;
@@ -233,7 +225,8 @@ class RpcConnection : public std::enable_shared_from_this<RpcConnection> {
     size_t shed_namespace_watermark = 0;
     // Flight recorder: when set (and its registry is enabled), the
     // connection stamps each call at five points and reports span timings
-    // plus queue depths per (prog, proc). Null = no timing overhead.
+    // plus queue depths per (prog, proc). It also counts every shed and
+    // expired call, enabled or not. Null = no timing, no counts.
     obs::RpcRecorder* recorder = nullptr;
   };
   // Invoked once, on whichever thread finishes the connection (the loop
@@ -263,14 +256,8 @@ class RpcConnection : public std::enable_shared_from_this<RpcConnection> {
   // --- stats (tests and load introspection) ---
   // Highest send-queue depth observed (≤ send_queue_limit unless busy
   // rejects, which bypass the bound so they can never deadlock the loop).
+  // Busy rejects and expired drops are counted by options.recorder.
   size_t send_queue_peak() const;
-  // Requests rejected by the admission bound or a shed watermark (total).
-  uint64_t busy_rejected() const;
-  // Busy rejects broken down by the rejected request's priority class.
-  uint64_t shed_by_priority(RpcPriority priority) const;
-  // Requests dropped at dequeue because their deadline had already
-  // expired (answered kDeadlineExceeded without executing the handler).
-  uint64_t expired_dropped() const;
 
  private:
   RpcConnection(const RpcDispatcher* dispatcher,
@@ -328,9 +315,6 @@ class RpcConnection : public std::enable_shared_from_this<RpcConnection> {
   bool finish_scheduled_ = false;
   bool send_broken_ = false;   // write side failed; replies are discarded
   bool closed_ = false;
-  std::atomic<uint64_t> busy_rejected_{0};
-  std::atomic<uint64_t> shed_by_priority_[kRpcPriorityCount] = {};
-  std::atomic<uint64_t> expired_dropped_{0};
 };
 
 }  // namespace discfs

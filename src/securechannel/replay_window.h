@@ -19,8 +19,6 @@ class ReplayWindow {
   // valid.
   bool CheckAndUpdate(uint64_t seq);
 
-  uint64_t highest_seen() const { return highest_; }
-
  private:
   uint32_t size_;
   uint64_t highest_ = 0;

@@ -55,11 +55,6 @@ uint64_t Prng::NextBelow(uint64_t bound) {
   }
 }
 
-int64_t Prng::NextInRange(int64_t lo, int64_t hi) {
-  return lo + static_cast<int64_t>(
-                  NextBelow(static_cast<uint64_t>(hi - lo) + 1));
-}
-
 double Prng::NextDouble() {
   return static_cast<double>(Next() >> 11) * 0x1.0p-53;
 }

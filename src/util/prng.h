@@ -19,9 +19,6 @@ class Prng {
   // Uniform in [0, bound); bound must be > 0.
   uint64_t NextBelow(uint64_t bound);
 
-  // Uniform in [lo, hi] inclusive.
-  int64_t NextInRange(int64_t lo, int64_t hi);
-
   // Uniform double in [0, 1).
   double NextDouble();
 

@@ -12,6 +12,7 @@
 #include "src/cluster/fabric.h"
 #include "src/cluster/protocol.h"
 #include "src/crypto/groups.h"
+#include "src/discfs/client.h"
 #include "src/discfs/host.h"
 #include "src/ffs/ffs.h"
 #include "src/net/transport.h"
@@ -245,6 +246,26 @@ TEST(CoherenceFabric, RemoteInvalidationIsScoped) {
   // Revoke the victim's key on A; the event must reach B.
   a.host->server().RevokeKey(victim);
   ASSERT_TRUE(a.host->fabric()->WaitForAck(1, kAckTimeout));
+
+  // The link that carried the ack is up and healthy, in the fabric's
+  // stats and in a kServerStats scrape of A.
+  cluster::FabricStats link = a.host->fabric()->stats();
+  ASSERT_EQ(link.peers.size(), 1u);
+  EXPECT_TRUE(link.peers[0].connected);
+  EXPECT_TRUE(link.peers[0].healthy);
+  EXPECT_EQ(link.healthy_peers(), 1u);
+  DsaPrivateKey operator_key = DsaPrivateKey::Generate(Dsa512(), TestRand(3));
+  auto scraper = DiscfsClient::Connect(
+      "127.0.0.1", a.host->port(), ChannelIdentity{operator_key, TestRand(4)},
+      key_a.public_key());
+  ASSERT_TRUE(scraper.ok()) << scraper.status();
+  auto scrape = (*scraper)->ServerStats(/*json=*/false);
+  ASSERT_TRUE(scrape.ok()) << scrape.status();
+  EXPECT_NE(scrape->find("discfs_cluster_peer_healthy{peer=\"" +
+                         link.peers[0].address + "\"} 1\n"),
+            std::string::npos)
+      << *scrape;
+  (*scraper)->Close();
   EXPECT_EQ(b.host->fabric()->ReceiveCursor(a.host->fabric()->node_id()), 1u);
   EXPECT_EQ(b.host->fabric()->events_applied(), 1u);
   EXPECT_EQ(b.host->server()
@@ -252,18 +273,19 @@ TEST(CoherenceFabric, RemoteInvalidationIsScoped) {
                 .remote_events_applied.load(std::memory_order_relaxed),
             1u);
 
-  // Telemetry attributes the bump to the remote path (before
-  // ResetTelemetry below zeroes the counters).
+  // Telemetry attributes the bump to the remote path.
   EXPECT_GE(b.host->server().stats_snapshot().coherence.remote_bumps, 1u);
 
   // Scoped: the victim's cached entry on B is stale, the bystander's is
   // still warm (no recompute).
-  b.host->server().ResetTelemetry();
+  const std::atomic<uint64_t>& queries =
+      b.host->server().counters().keynote_queries;
+  const uint64_t queries_before = queries.load();
   b.host->server().EffectiveMask(bystander, 1);
-  EXPECT_EQ(b.host->server().counters().keynote_queries.load(), 0u)
+  EXPECT_EQ(queries.load() - queries_before, 0u)
       << "bystander should have stayed warm across the remote bump";
   b.host->server().EffectiveMask(victim, 1);
-  EXPECT_EQ(b.host->server().counters().keynote_queries.load(), 1u)
+  EXPECT_EQ(queries.load() - queries_before, 1u)
       << "victim's entry should have been invalidated remotely";
 }
 
@@ -308,9 +330,11 @@ TEST(CoherenceFabric, ReplaysMissedEventsAfterReconnect) {
       << "replay must not fall back to a full flush";
 
   // Convergence stayed scoped: the bystander survived the whole episode.
-  b.host->server().ResetTelemetry();
+  const uint64_t queries_before =
+      b.host->server().counters().keynote_queries.load();
   b.host->server().EffectiveMask(bystander, 1);
-  EXPECT_EQ(b.host->server().counters().keynote_queries.load(), 0u);
+  EXPECT_EQ(b.host->server().counters().keynote_queries.load(),
+            queries_before);
 }
 
 TEST(CoherenceFabric, CompactedLogFallsBackToInvalidateAll) {
@@ -353,9 +377,11 @@ TEST(CoherenceFabric, CompactedLogFallsBackToInvalidateAll) {
   EXPECT_EQ(sender_stats.peers[0].full_invalidations_sent, 1u);
 
   // The blunt flush hit the bystander too — that is the safe direction.
-  b.host->server().ResetTelemetry();
+  const uint64_t queries_before =
+      b.host->server().counters().keynote_queries.load();
   b.host->server().EffectiveMask(bystander, 1);
-  EXPECT_EQ(b.host->server().counters().keynote_queries.load(), 1u);
+  EXPECT_EQ(b.host->server().counters().keynote_queries.load(),
+            queries_before + 1);
 }
 
 TEST(CoherenceFabric, UntrustedPeerCannotPush) {

@@ -105,43 +105,7 @@ TEST(Sha256, PaddingBoundaryLengthsDiffer) {
   }
 }
 
-// ----- SHA-512 -----
-
-TEST(Sha512, Abc) {
-  EXPECT_EQ(HexOf(Sha512::Hash("abc")),
-            "ddaf35a193617abacc417349ae20413112e6fa4e89a97ea20a9eeee64b55d39a"
-            "2192992a274fc1a836ba3c23a3feebbd454d4423643ce80e2a9ac94fa54ca49f");
-}
-
-TEST(Sha512, EmptyString) {
-  EXPECT_EQ(HexOf(Sha512::Hash("")),
-            "cf83e1357eefb8bdf1542850d66d8007d620e4050b5715dc83f4a921d36ce9ce"
-            "47d0d13c5d85f2b0ff8318d2877eec2f63b931bd47417a81a538327af927da3e");
-}
-
-TEST(Sha512, StreamingMatchesOneShot) {
-  std::string msg(300, 'z');
-  for (size_t split : {0u, 1u, 111u, 112u, 127u, 128u, 129u, 300u}) {
-    Sha512 h;
-    h.Update(msg.substr(0, split));
-    h.Update(msg.substr(split));
-    EXPECT_EQ(h.Finish(), Sha512::Hash(msg)) << "split=" << split;
-  }
-}
-
-// ----- HMAC (RFC 2202 / RFC 4231) -----
-
-TEST(Hmac, Sha1Rfc2202Case1) {
-  Bytes key(20, 0x0b);
-  EXPECT_EQ(HexOf(HmacSha1(key, ToBytes("Hi There"))),
-            "b617318655057264e28bc0b6fb378c8ef146be00");
-}
-
-TEST(Hmac, Sha1Rfc2202Case2) {
-  EXPECT_EQ(HexOf(HmacSha1(ToBytes("Jefe"),
-                           ToBytes("what do ya want for nothing?"))),
-            "effcdf6ae5eb2fa2d27416d5f184df9c259a7c79");
-}
+// ----- HMAC (RFC 4231) -----
 
 TEST(Hmac, Sha256Rfc4231Case1) {
   Bytes key(20, 0x0b);

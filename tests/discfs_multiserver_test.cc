@@ -240,26 +240,30 @@ TEST(DiscfsMultiServer, RevocationOnOneServerDeniesOnPeersScoped) {
   ASSERT_TRUE((*carol_client)->nfs().Read(fh, 0, 100).ok());
 
   // Both grants are now served from B's cache.
-  node_b.host->server().ResetTelemetry();
+  const std::atomic<uint64_t>& b_queries =
+      node_b.host->server().counters().keynote_queries;
+  const uint64_t warm_queries = b_queries.load();
   ASSERT_TRUE((*bob_client)->nfs().Read(fh, 0, 100).ok());
   ASSERT_TRUE((*carol_client)->nfs().Read(fh, 0, 100).ok());
-  EXPECT_EQ(node_b.host->server().counters().keynote_queries.load(), 0u);
+  EXPECT_EQ(b_queries.load(), warm_queries);
 
   // The issuer withdraws bob's credential ON A; B never hears about it
   // directly — only through the fabric.
+  const uint64_t remote_bumps_before =
+      node_b.host->server().stats_snapshot().coherence.remote_bumps;
   ASSERT_TRUE(node_a.host->server().RemoveCredential(*bob_cred_id).ok());
   ASSERT_TRUE(node_a.host->fabric()->WaitForAck(
       2, std::chrono::milliseconds(10000)));
-  // The bump reached B through the remote path (checked before
-  // ResetTelemetry zeroes the coherence counters).
-  EXPECT_GE(node_b.host->server().stats_snapshot().coherence.remote_bumps, 1u);
+  // The bump reached B through the remote path.
+  EXPECT_GE(node_b.host->server().stats_snapshot().coherence.remote_bumps,
+            remote_bumps_before + 1);
 
-  node_b.host->server().ResetTelemetry();
   // Carol first: her entry must still be warm (survivor check — the
   // invalidation was scoped to bob).
+  const uint64_t survivor_queries = b_queries.load();
   auto carol_read = (*carol_client)->nfs().Read(fh, 0, 100);
   ASSERT_TRUE(carol_read.ok()) << carol_read.status();
-  EXPECT_EQ(node_b.host->server().counters().keynote_queries.load(), 0u)
+  EXPECT_EQ(b_queries.load(), survivor_queries)
       << "carol's cached grant should have survived bob's revocation";
   // Bob's previously warm cached grant on B is now denied.
   auto bob_read = (*bob_client)->nfs().Read(fh, 0, 100);

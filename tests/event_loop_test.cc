@@ -350,6 +350,9 @@ TEST(EventLoopRpc, AdmissionBoundBusyRejectsWhenPoolSaturated) {
     cv.wait_for(lock, 10s, [&] { return release; });
     return args;
   });
+  // Counts the busy rejects; outlives the pool and loop that use it.
+  obs::MetricsRegistry registry;
+  obs::RpcRecorder recorder(&registry);
   WorkerPool pool(1);  // one worker: a single blocked handler saturates it
   EventLoop loop;
   auto listener = TcpListener::Listen(0);
@@ -365,6 +368,7 @@ TEST(EventLoopRpc, AdmissionBoundBusyRejectsWhenPoolSaturated) {
   options.pool = &pool;
   options.max_inflight = 64;
   options.admission_queue_limit = 1;
+  options.recorder = &recorder;
   auto served = RpcConnection::Start(&dispatcher, std::move(accepted).value(),
                                      RpcContext{}, options);
   ASSERT_TRUE(served.ok()) << served.status();
@@ -389,7 +393,9 @@ TEST(EventLoopRpc, AdmissionBoundBusyRejectsWhenPoolSaturated) {
     ASSERT_FALSE(result.ok()) << "admission bound admitted a 7th request";
     EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
   }
-  EXPECT_EQ((*served)->busy_rejected(), 4u);
+  // Without shed watermarks every request is in the namespace class.
+  EXPECT_EQ(recorder.shed_total(static_cast<size_t>(RpcPriority::kNamespace)),
+            4u);
   EXPECT_EQ(entered.load(), 1);  // rejects never touched the pool
 
   {

@@ -586,11 +586,13 @@ TEST(LockboxMultiDevice, RevokeOneDeviceDeniesClusterWideSiblingsStayWarm) {
   }
 
   // All three grants are warm in B's policy cache.
-  node_b.host->server().ResetTelemetry();
+  const std::atomic<uint64_t>& b_queries =
+      node_b.host->server().counters().keynote_queries;
+  const uint64_t warm_queries = b_queries.load();
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(device_clients[i]->GetLockbox(fh).ok());
   }
-  EXPECT_EQ(node_b.host->server().counters().keynote_queries.load(), 0u);
+  EXPECT_EQ(b_queries.load(), warm_queries);
 
   // The laptop is lost. The revocation is accepted on node A — which never
   // even installed the credential (NotFound locally, still published) —
@@ -601,15 +603,15 @@ TEST(LockboxMultiDevice, RevokeOneDeviceDeniesClusterWideSiblingsStayWarm) {
   ASSERT_TRUE(node_a.host->fabric()->WaitForAck(
       1, std::chrono::milliseconds(10000)));
 
-  node_b.host->server().ResetTelemetry();
   // Siblings first: phone and tablet must still be served FROM CACHE —
   // the invalidation was scoped to the laptop's chain.
+  const uint64_t sibling_queries = b_queries.load();
   for (int i = 1; i < 3; ++i) {
     auto fetch = device_clients[i]->GetLockbox(fh);
     ASSERT_TRUE(fetch.ok()) << "sibling device " << i << ": "
                             << fetch.status();
   }
-  EXPECT_EQ(node_b.host->server().counters().keynote_queries.load(), 0u)
+  EXPECT_EQ(b_queries.load(), sibling_queries)
       << "sibling devices' cached grants should have survived";
   // The laptop is denied — same CheckAccess path as NFS reads.
   auto denied = device_clients[0]->GetLockbox(fh);

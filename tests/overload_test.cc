@@ -47,6 +47,26 @@ bool WaitFor(const std::function<bool()>& cond,
   return cond();
 }
 
+// The registry exports exactly the recorder's count, as Prometheus text
+// and as JSON.
+void ExpectExported(const obs::MetricsRegistry& registry,
+                    const std::string& name, const std::string& labels,
+                    uint64_t value) {
+  const std::string text = registry.PrometheusText();
+  const std::string sample = name + (labels.empty() ? "" : "{" + labels + "}") +
+                             " " + std::to_string(value) + "\n";
+  EXPECT_NE(text.find(sample), std::string::npos) << sample << text;
+  std::string escaped;
+  for (char c : labels) {
+    escaped += c == '"' ? std::string("\\\"") : std::string(1, c);
+  }
+  const std::string json = registry.Json();
+  const std::string record = "{\"name\": \"" + name + "\", \"labels\": \"" +
+                             escaped + "\", \"value\": " +
+                             std::to_string(value) + "}";
+  EXPECT_NE(json.find(record), std::string::npos) << record << json;
+}
+
 // One connection with all three priority tiers registered on the same
 // blocking handler, so the test controls pool depth exactly.
 struct TieredServer {
@@ -60,6 +80,10 @@ struct TieredServer {
   std::atomic<int> entered{0};
 
   RpcDispatcher dispatcher;
+  // The one count of sheds and expiries (declared before the pool and
+  // loop, so it outlives every task that records into it).
+  obs::MetricsRegistry registry;
+  obs::RpcRecorder recorder{&registry};
   WorkerPool pool{1};  // one worker: a single blocked handler saturates it
   EventLoop loop;
 
@@ -108,6 +132,7 @@ TEST(Overload, WatermarksShedDataFirstControlLast) {
   options.shed_data_watermark = 1;
   options.shed_namespace_watermark = 2;
   options.admission_queue_limit = 4;
+  options.recorder = &server.recorder;
   auto served = RpcConnection::Start(&server.dispatcher,
                                      std::move(accepted).value(), RpcContext{},
                                      options);
@@ -146,10 +171,16 @@ TEST(Overload, WatermarksShedDataFirstControlLast) {
   EXPECT_EQ(control_shed.get().status().code(),
             StatusCode::kResourceExhausted);
 
-  EXPECT_EQ((*served)->shed_by_priority(RpcPriority::kData), 1u);
-  EXPECT_EQ((*served)->shed_by_priority(RpcPriority::kNamespace), 1u);
-  EXPECT_EQ((*served)->shed_by_priority(RpcPriority::kControl), 1u);
-  EXPECT_EQ((*served)->busy_rejected(), 3u);
+  // One shed per class, counted by the recorder and exported with the
+  // class as a label.
+  const char* kClassNames[] = {"control", "namespace", "data"};  // by class
+  for (RpcPriority priority :
+       {RpcPriority::kData, RpcPriority::kNamespace, RpcPriority::kControl}) {
+    const size_t c = static_cast<size_t>(priority);
+    EXPECT_EQ(server.recorder.shed_total(c), 1u);
+    ExpectExported(server.registry, "discfs_rpc_shed_total",
+                   std::string("class=\"") + kClassNames[c] + "\"", 1);
+  }
 
   // Every admitted request completes once the worker frees up.
   server.Release();
@@ -180,6 +211,7 @@ TEST(Overload, ExpiredRequestsDropAtDequeueWithoutExecuting) {
   RpcConnection::Options options;
   options.loop = &server.loop;
   options.pool = &server.pool;
+  options.recorder = &server.recorder;
   auto served = RpcConnection::Start(&server.dispatcher,
                                      std::move(accepted).value(), RpcContext{},
                                      options);
@@ -203,7 +235,8 @@ TEST(Overload, ExpiredRequestsDropAtDequeueWithoutExecuting) {
   EXPECT_TRUE(running.get().ok());
 
   // The drop happened server-side, at dequeue, without dispatch.
-  ASSERT_TRUE(WaitFor([&] { return (*served)->expired_dropped() == 1; }));
+  ASSERT_TRUE(WaitFor([&] { return server.recorder.expired_total() == 1; }));
+  ExpectExported(server.registry, "discfs_rpc_expired_total", "", 1);
   EXPECT_EQ(server.entered.load(), 1);
 
   client.Close();
@@ -211,8 +244,7 @@ TEST(Overload, ExpiredRequestsDropAtDequeueWithoutExecuting) {
 }
 
 // CallWithDeadline against a stalled server resolves promptly with
-// DEADLINE_EXCEEDED instead of blocking forever, and the per-client
-// default deadline applies the same budget to plain Calls.
+// DEADLINE_EXCEEDED instead of blocking forever.
 TEST(Overload, CallWithDeadlineFailsFastOnStalledServer) {
   TieredServer server;
   auto listener = TcpListener::Listen(0);
@@ -241,14 +273,8 @@ TEST(Overload, CallWithDeadlineFailsFastOnStalledServer) {
   EXPECT_EQ(stalled.status().code(), StatusCode::kDeadlineExceeded);
   EXPECT_LT(elapsed, 5s) << "deadline did not cut the stalled call short";
 
-  // Same budget via the client-wide default, through the plain Call path.
-  client.set_default_deadline_ms(150);
-  auto defaulted = client.Call(1, TieredServer::kNamespace, Bytes{2});
-  EXPECT_EQ(defaulted.status().code(), StatusCode::kDeadlineExceeded);
-
-  // The connection itself is still healthy: clear the default, release
-  // the handler, and a fresh call completes normally.
-  client.set_default_deadline_ms(0);
+  // The connection itself is still healthy: release the handler, and a
+  // fresh call completes normally.
   server.Release();
   EXPECT_TRUE(client.Call(1, TieredServer::kNamespace, Bytes{3}).ok());
 

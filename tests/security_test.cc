@@ -248,11 +248,114 @@ TEST(DiscfsServerUnit, EffectiveMaskAndTelemetry) {
   EXPECT_EQ((*server)->EffectiveMask(bob_principal, 8), 0u);   // other handle
 
   EXPECT_GT((*server)->counters().keynote_queries.load(), 0u);
-  (*server)->ResetTelemetry();
-  EXPECT_EQ((*server)->counters().keynote_queries.load(), 0u);
-  // Cached entries survive the telemetry reset.
+  // Counters only go up; a phase is the difference of two reads. A cached
+  // entry costs one more cache hit and no KeyNote query.
+  const uint64_t queries = (*server)->counters().keynote_queries.load();
+  const uint64_t hits = (*server)->stats_snapshot().cache.hits;
   EXPECT_EQ((*server)->EffectiveMask(bob_principal, 7), 6u);
-  EXPECT_EQ((*server)->stats_snapshot().cache.hits, 1u);
+  EXPECT_EQ((*server)->counters().keynote_queries.load(), queries);
+  EXPECT_EQ((*server)->stats_snapshot().cache.hits, hits + 1);
+}
+
+// One revocation reaches a server three ways: a local call, a peer's
+// coherence event, or an anti-entropy merge of a peer's revocation list.
+// All three must leave the server in the same state, and only the local
+// call counts its generation bumps as local.
+TEST(DiscfsServerUnit, RevocationHasOneEffectWhicheverWayItArrives) {
+  DsaPrivateKey admin = DsaPrivateKey::Generate(Dsa512(), TestRand(1));
+  DsaPrivateKey k = DsaPrivateKey::Generate(Dsa512(), TestRand(2));
+  DsaPrivateKey alice = DsaPrivateKey::Generate(Dsa512(), TestRand(3));
+  DsaPrivateKey bob = DsaPrivateKey::Generate(Dsa512(), TestRand(4));
+  CredentialOptions rw;
+  rw.permissions = "RW";
+  // admin -> K -> Alice, and admin -> Bob, all on handle 7.
+  const std::vector<std::string> graph = {
+      IssueCredential(admin, k.public_key(), "7", rw).value(),
+      IssueCredential(k, alice.public_key(), "7", rw).value(),
+      IssueCredential(admin, bob.public_key(), "7", rw).value()};
+  const std::string k_principal = k.public_key().ToKeyNoteString();
+  const std::string alice_principal = alice.public_key().ToKeyNoteString();
+  const std::string bob_principal = bob.public_key().ToKeyNoteString();
+
+  for (bool revoke_key : {true, false}) {
+    SCOPED_TRACE(revoke_key ? "RevokeKey(K)" : "RemoveCredential(K->Alice)");
+    FakeClock clock(1'000'000'000);
+    // [0] local call, [1] ApplyRemoteEvent, [2] MergeRevocations.
+    std::vector<std::unique_ptr<DiscfsServer>> servers;
+    std::string alice_cred_id;
+    for (int i = 0; i < 3; ++i) {
+      auto dev = std::make_shared<MemBlockDevice>(4096, 1024);
+      auto fs = Ffs::Format(dev, FfsFormatOptions{64});
+      ASSERT_TRUE(fs.ok());
+      DiscfsServerConfig config;
+      config.server_key = admin;
+      config.rand_bytes = TestRand(99);
+      config.clock = &clock;
+      auto server = DiscfsServer::Create(
+          std::make_shared<FfsVfs>(std::move(fs).value()), std::move(config));
+      ASSERT_TRUE(server.ok());
+      for (const std::string& credential : graph) {
+        auto id = (*server)->SubmitCredential(credential);
+        ASSERT_TRUE(id.ok()) << id.status();
+        if (credential == graph[1]) {
+          alice_cred_id = *id;
+        }
+      }
+      // Both grants are warm before the revocation.
+      EXPECT_EQ((*server)->EffectiveMask(alice_principal, 7), 6u);
+      EXPECT_EQ((*server)->EffectiveMask(bob_principal, 7), 6u);
+      servers.push_back(std::move(server).value());
+    }
+    std::vector<PolicyCache::CoherenceStats> bumps_before;
+    for (const auto& server : servers) {
+      bumps_before.push_back(server->stats_snapshot().coherence);
+    }
+
+    cluster::CoherenceEvent event;
+    if (revoke_key) {
+      servers[0]->RevokeKey(k_principal);
+      event.type = cluster::CoherenceEvent::Type::kRevokeKey;
+      event.principal = k_principal;
+    } else {
+      ASSERT_TRUE(servers[0]->RemoveCredential(alice_cred_id).ok());
+      event.type = cluster::CoherenceEvent::Type::kRemove;
+      event.credential_id = alice_cred_id;
+    }
+    clock.Advance(30);  // the others learn of it later (within the TTL)
+    servers[1]->ApplyRemoteEvent(event);
+    EXPECT_GT(servers[2]->MergeRevocations(servers[0]->SerializeRevocations()),
+              0u);
+    // The merge keeps the peer's timestamps: nothing re-stamps the entries
+    // it just added.
+    EXPECT_EQ(servers[2]->SerializeRevocations(),
+              servers[0]->SerializeRevocations());
+
+    for (size_t i = 0; i < servers.size(); ++i) {
+      SCOPED_TRACE("server " + std::to_string(i));
+      DiscfsServer& server = *servers[i];
+      EXPECT_EQ(server.credential_count(), 2u);  // admin->K, admin->Bob
+      EXPECT_EQ(server.RevocationDigest(), servers[0]->RevocationDigest());
+      // Bob's chain does not pass through the revocation: his warm entry
+      // is served without a new KeyNote query.
+      const uint64_t queries = server.counters().keynote_queries.load();
+      EXPECT_EQ(server.EffectiveMask(bob_principal, 7), 6u);
+      EXPECT_EQ(server.counters().keynote_queries.load(), queries);
+      EXPECT_EQ(server.EffectiveMask(alice_principal, 7), 0u);
+      EXPECT_EQ(server.EffectiveMask(k_principal, 7),
+                servers[0]->EffectiveMask(k_principal, 7));
+      PolicyCache::CoherenceStats bumps = server.stats_snapshot().coherence;
+      const uint64_t local = bumps.local_bumps - bumps_before[i].local_bumps;
+      const uint64_t remote =
+          bumps.remote_bumps - bumps_before[i].remote_bumps;
+      if (i == 0) {
+        EXPECT_GT(local, 0u);
+        EXPECT_EQ(remote, 0u);
+      } else {
+        EXPECT_EQ(local, 0u);
+        EXPECT_GT(remote, 0u);
+      }
+    }
+  }
 }
 
 }  // namespace

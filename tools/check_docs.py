@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation gate (CI: docs job).
 
-Three checks, stdlib only:
+Four checks, stdlib only:
 
 1. README coverage — every src/<subsystem> that defines a wire or
    on-disk format (any file includes src/wire/xdr.h or mentions
@@ -12,6 +12,9 @@ Three checks, stdlib only:
 3. Bench coverage — every bench kind passed to bench::Report in
    bench/*.cc must have a "bench `<kind>`" section heading in
    docs/BENCH_SCHEMAS.md, which lists that bench's gates.
+4. Metric coverage — every "discfs_*" metric name registered in src/
+   must appear in the "## Metric families" list of src/obs/README.md,
+   and every name on that list must be registered.
 
 Exit non-zero with a per-finding list on any violation.
 
@@ -26,6 +29,8 @@ LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 REPORT_RE = re.compile(r'\bReport\s+\w+\(\s*"([^"]+)"')
 FORMAT_MARKERS = (re.compile(r'#include\s+"src/wire/xdr\.h"'),
                   re.compile(r"on-disk", re.IGNORECASE))
+METRIC_NAME_RE = re.compile(r'"(discfs_[a-z0-9_]+)"')
+LISTED_METRIC_RE = re.compile(r"^(discfs_[a-z0-9_]+)")
 
 
 def find_format_bearing_subsystems(repo):
@@ -114,6 +119,49 @@ def check_bench_sections(repo, errors):
                     f"{kind!r} (reported by bench/{name})")
 
 
+def registered_metrics(repo):
+    """Every "discfs_*" string literal in src/ sources: the metric names."""
+    names = set()
+    for root, _, files in os.walk(os.path.join(repo, "src")):
+        for name in files:
+            if name.endswith((".h", ".cc")):
+                with open(os.path.join(root, name), encoding="utf-8") as f:
+                    names.update(METRIC_NAME_RE.findall(f.read()))
+    return names
+
+
+def listed_metrics(readme):
+    """Names at the start of each line of the list's code block."""
+    names = set()
+    in_section = in_block = False
+    with open(readme, encoding="utf-8") as f:
+        for line in f:
+            if line.startswith("## "):
+                in_section = line.strip() == "## Metric families"
+            elif in_section and line.startswith("```"):
+                in_block = not in_block
+            elif in_section and in_block:
+                match = LISTED_METRIC_RE.match(line)
+                if match:
+                    names.add(match.group(1))
+    return names
+
+
+def check_metric_list(repo, errors):
+    readme = os.path.join(repo, "src", "obs", "README.md")
+    if not os.path.isfile(readme):
+        errors.append("src/obs/README.md is missing")
+        return
+    registered = registered_metrics(repo)
+    listed = listed_metrics(readme)
+    for name in sorted(registered - listed):
+        errors.append(f"src/obs/README.md does not list metric {name} "
+                      "(registered in src/)")
+    for name in sorted(listed - registered):
+        errors.append(f"src/obs/README.md lists metric {name}, which "
+                      "nothing in src/ registers")
+
+
 def main(argv):
     repo = os.path.abspath(argv[1]) if len(argv) > 1 else os.path.abspath(
         os.path.join(os.path.dirname(__file__), ".."))
@@ -121,12 +169,14 @@ def main(argv):
     check_readme_coverage(repo, errors)
     check_links(repo, errors)
     check_bench_sections(repo, errors)
+    check_metric_list(repo, errors)
     if errors:
         print("check_docs.py: FAIL")
         for error in errors:
             print(f"  - {error}")
         return 1
-    print("check_docs.py: ok (readme coverage, links, bench sections)")
+    print("check_docs.py: ok (readme coverage, links, bench sections, "
+          "metric list)")
     return 0
 
 
