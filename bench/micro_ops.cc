@@ -17,8 +17,10 @@
 
 #include "bench/fs_backend.h"
 #include "src/crypto/aead.h"
+#include "src/crypto/chacha20.h"
 #include "src/crypto/dsa.h"
 #include "src/crypto/groups.h"
+#include "src/crypto/poly1305.h"
 #include "src/crypto/sha.h"
 #include "src/discfs/credentials.h"
 #include "src/discfs/host.h"
@@ -98,10 +100,34 @@ void BenchHashAndAead() {
   Bytes data = Prng(1).NextBytes(kBlock);
   Report("sha1_8k", Measure([&] { Sink(Sha1::Hash(data)); }), kBlock);
   Report("sha256_8k", Measure([&] { Sink(Sha256::Hash(data)); }), kBlock);
-  Aead aead(Bytes(32, 0x42));
+  Bytes key(32, 0x42);
   Bytes nonce(12, 0);
+  // The record transform's kernels, one 8 KiB pass each, then the whole
+  // seal and open: the split shows which kernel a change moved.
+  Bytes out(kBlock + Aead::kTagSize);
+  Report("chacha20_8k", Measure([&] {
+           ChaCha20(key.data(), nonce.data(), 1)
+               .Crypt(data.data(), out.data(), kBlock);
+           Sink(out);
+         }),
+         kBlock);
+  Report("poly1305_8k", Measure([&] { Sink(Poly1305Tag(key, data)); }),
+         kBlock);
+  Report("poly1305_8k_reference",
+         Measure([&] { Sink(Poly1305TagReference(key, data)); }), kBlock);
+  Aead aead(key);
   Report("aead_seal_8k", Measure([&] { Sink(aead.Seal(nonce, {}, data)); }),
          kBlock);
+  Bytes sealed = aead.Seal(nonce, {}, data);
+  Report("aead_open_8k", Measure([&] {
+           Sink(aead.Open(nonce.data(), nullptr, 0, sealed.data(),
+                          sealed.size(), out.data())
+                    .ok());
+         }),
+         kBlock);
+  Bytes small(data.begin(), data.begin() + 128);
+  Report("aead_seal_128", Measure([&] { Sink(aead.Seal(nonce, {}, small)); }),
+         small.size());
 }
 
 // ----- DSA (1024/160, the production group) -----

@@ -2,9 +2,8 @@
 #ifndef DISCFS_SRC_CRYPTO_CHACHA20_H_
 #define DISCFS_SRC_CRYPTO_CHACHA20_H_
 
+#include <cstddef>
 #include <cstdint>
-
-#include "src/util/bytes.h"
 
 namespace discfs {
 
@@ -14,16 +13,16 @@ class ChaCha20 {
   static constexpr size_t kNonceSize = 12;
   static constexpr size_t kBlockSize = 64;
 
-  // key must be 32 bytes, nonce 12 bytes.
-  ChaCha20(const Bytes& key, const Bytes& nonce, uint32_t counter);
+  // Reads kKeySize bytes of key and kNonceSize bytes of nonce.
+  ChaCha20(const uint8_t* key, const uint8_t* nonce, uint32_t counter);
 
-  // Produces the 64-byte keystream block for `counter` into out.
+  // Produces the 64-byte keystream block for `counter` into out. This is
+  // the one-block reference the 4-block path in Crypt is tested against.
   void KeystreamBlock(uint32_t counter, uint8_t out[kBlockSize]) const;
 
-  // XORs the keystream (starting at the construction-time counter) into
-  // data in place.
-  void Crypt(uint8_t* data, size_t len);
-  Bytes Crypt(const Bytes& data);
+  // Writes `in` XOR keystream to `out` (in == out allowed), starting at the
+  // current counter and advancing it by one per (partial) block.
+  void Crypt(const uint8_t* in, uint8_t* out, size_t len);
 
   // The RFC 8439 quarter round, exposed for unit testing against the
   // published test vector.

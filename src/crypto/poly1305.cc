@@ -1,12 +1,28 @@
 #include "src/crypto/poly1305.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 
 namespace discfs {
 namespace {
 
-// 26-bit limb implementation (poly1305-donna style).
+static_assert(__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__,
+              "Poly1305 loads message words in host byte order");
+
+using U128 = unsigned __int128;
+
+constexpr uint64_t kMask44 = 0xfffffffffff;
+constexpr uint64_t kMask42 = 0x3ffffffffff;
+constexpr uint64_t kHibit = uint64_t{1} << 40;  // 2^128 in limb-2 units
+
+inline uint64_t Load64LE(const uint8_t* p) {
+  uint64_t v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+// 26-bit limb implementation (poly1305-donna-32 style).
 inline uint32_t Load32LE(const uint8_t* p) {
   return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
          (static_cast<uint32_t>(p[2]) << 16) |
@@ -15,7 +31,159 @@ inline uint32_t Load32LE(const uint8_t* p) {
 
 }  // namespace
 
+Poly1305::Poly1305(const uint8_t* key) {
+  // r with the RFC clamping applied, split into 44/44/42-bit limbs.
+  uint64_t t0 = Load64LE(key);
+  uint64_t t1 = Load64LE(key + 8);
+  r_[0] = t0 & 0xffc0fffffff;
+  r_[1] = ((t0 >> 44) | (t1 << 20)) & 0xfffffc0ffff;
+  r_[2] = (t1 >> 24) & 0x00ffffffc0f;
+  pad_[0] = Load64LE(key + 16);
+  pad_[1] = Load64LE(key + 24);
+}
+
+void Poly1305::Blocks(const uint8_t* data, size_t len, uint64_t hibit) {
+  const uint64_t r0 = r_[0], r1 = r_[1], r2 = r_[2];
+  // Limb products at 2^132 and 2^176 wrap to 2^2 and 2^46 times 5.
+  const uint64_t s1 = r1 * (5 << 2), s2 = r2 * (5 << 2);
+  uint64_t h0 = h_[0], h1 = h_[1], h2 = h_[2];
+  for (; len >= 16; len -= 16, data += 16) {
+    uint64_t t0 = Load64LE(data);
+    uint64_t t1 = Load64LE(data + 8);
+    h0 += t0 & kMask44;
+    h1 += ((t0 >> 44) | (t1 << 20)) & kMask44;
+    h2 += ((t1 >> 24) & kMask42) | hibit;
+
+    U128 d0 = static_cast<U128>(h0) * r0 + static_cast<U128>(h1) * s2 +
+              static_cast<U128>(h2) * s1;
+    U128 d1 = static_cast<U128>(h0) * r1 + static_cast<U128>(h1) * r0 +
+              static_cast<U128>(h2) * s2;
+    U128 d2 = static_cast<U128>(h0) * r2 + static_cast<U128>(h1) * r1 +
+              static_cast<U128>(h2) * r0;
+
+    uint64_t c = static_cast<uint64_t>(d0 >> 44);
+    h0 = static_cast<uint64_t>(d0) & kMask44;
+    d1 += c;
+    c = static_cast<uint64_t>(d1 >> 44);
+    h1 = static_cast<uint64_t>(d1) & kMask44;
+    d2 += c;
+    c = static_cast<uint64_t>(d2 >> 42);
+    h2 = static_cast<uint64_t>(d2) & kMask42;
+    h0 += c * 5;
+    c = h0 >> 44;
+    h0 &= kMask44;
+    h1 += c;
+  }
+  h_[0] = h0;
+  h_[1] = h1;
+  h_[2] = h2;
+}
+
+void Poly1305::Update(const uint8_t* data, size_t len) {
+  if (len == 0) {
+    return;
+  }
+  if (buffered_ > 0) {
+    size_t take = std::min(len, sizeof(buffer_) - buffered_);
+    std::memcpy(buffer_ + buffered_, data, take);
+    buffered_ += take;
+    data += take;
+    len -= take;
+    if (buffered_ < sizeof(buffer_)) {
+      return;
+    }
+    Blocks(buffer_, sizeof(buffer_), kHibit);
+    buffered_ = 0;
+  }
+  size_t whole = len & ~size_t{15};
+  Blocks(data, whole, kHibit);
+  if (len > whole) {
+    buffered_ = len - whole;
+    std::memcpy(buffer_, data + whole, buffered_);
+  }
+}
+
+void Poly1305::PadTo16() {
+  if (buffered_ > 0) {
+    std::memset(buffer_ + buffered_, 0, sizeof(buffer_) - buffered_);
+    Blocks(buffer_, sizeof(buffer_), kHibit);
+    buffered_ = 0;
+  }
+}
+
+void Poly1305::Final(uint8_t tag[kTagSize]) {
+  if (buffered_ > 0) {
+    buffer_[buffered_] = 1;
+    std::memset(buffer_ + buffered_ + 1, 0, sizeof(buffer_) - buffered_ - 1);
+    Blocks(buffer_, sizeof(buffer_), /*hibit=*/0);
+  }
+
+  // Full carry propagation.
+  uint64_t h0 = h_[0], h1 = h_[1], h2 = h_[2];
+  uint64_t c = h1 >> 44;
+  h1 &= kMask44;
+  h2 += c;
+  c = h2 >> 42;
+  h2 &= kMask42;
+  h0 += c * 5;
+  c = h0 >> 44;
+  h0 &= kMask44;
+  h1 += c;
+  c = h1 >> 44;
+  h1 &= kMask44;
+  h2 += c;
+  c = h2 >> 42;
+  h2 &= kMask42;
+  h0 += c * 5;
+  c = h0 >> 44;
+  h0 &= kMask44;
+  h1 += c;
+
+  // Compute h + -p and constant-time select h mod p.
+  uint64_t g0 = h0 + 5;
+  c = g0 >> 44;
+  g0 &= kMask44;
+  uint64_t g1 = h1 + c;
+  c = g1 >> 44;
+  g1 &= kMask44;
+  uint64_t g2 = h2 + c - (uint64_t{1} << 42);
+
+  uint64_t mask = (g2 >> 63) - 1;  // all-ones if h >= p, else zero
+  g0 &= mask;
+  g1 &= mask;
+  g2 &= mask;
+  mask = ~mask;
+  h0 = (h0 & mask) | g0;
+  h1 = (h1 & mask) | g1;
+  h2 = (h2 & mask) | g2;
+
+  // Add the pad s with carry, then pack into 128 bits.
+  const uint64_t s0 = pad_[0], s1 = pad_[1];
+  h0 += s0 & kMask44;
+  c = h0 >> 44;
+  h0 &= kMask44;
+  h1 += (((s0 >> 44) | (s1 << 20)) & kMask44) + c;
+  c = h1 >> 44;
+  h1 &= kMask44;
+  h2 += ((s1 >> 24) & kMask42) + c;
+  h2 &= kMask42;
+
+  const uint64_t lo = h0 | (h1 << 44);
+  const uint64_t hi = (h1 >> 20) | (h2 << 24);
+  std::memcpy(tag, &lo, sizeof(lo));
+  std::memcpy(tag + 8, &hi, sizeof(hi));
+}
+
 Bytes Poly1305Tag(const Bytes& key, const Bytes& message) {
+  assert(key.size() == Poly1305::kKeySize);
+  Poly1305 mac(key.data());
+  mac.Update(message.data(), message.size());
+  Bytes tag(Poly1305::kTagSize);
+  mac.Final(tag.data());
+  return tag;
+}
+
+Bytes Poly1305TagReference(const Bytes& key, const Bytes& message) {
   assert(key.size() == 32);
 
   // r with the RFC clamping applied, split into 26-bit limbs.

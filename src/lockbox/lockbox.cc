@@ -11,20 +11,28 @@ Bytes GenerateContentKey(const std::function<Bytes(size_t)>& rand_bytes) {
 Bytes SealPayload(const Bytes& content_key, const Bytes& plaintext,
                   const std::function<Bytes(size_t)>& rand_bytes) {
   Aead aead(content_key);
-  Bytes nonce = rand_bytes(Aead::kNonceSize);
-  Bytes out = nonce;
-  Append(out, aead.Seal(nonce, /*aad=*/Bytes(), plaintext));
+  Bytes out = rand_bytes(Aead::kNonceSize);
+  out.resize(Aead::kNonceSize + plaintext.size() + Aead::kTagSize);
+  aead.Seal(out.data(), /*aad=*/nullptr, 0, plaintext.data(), plaintext.size(),
+            out.data() + Aead::kNonceSize);
   return out;
 }
 
 Result<Bytes> OpenPayload(const Bytes& content_key, const Bytes& sealed) {
+  // The key comes out of a recipient's wrapped-key blob, which any granter
+  // can fill with a secret of any length.
+  if (content_key.size() != Aead::kKeySize) {
+    return InvalidArgumentError("content key is not 32 bytes");
+  }
   if (sealed.size() < Aead::kNonceSize + Aead::kTagSize) {
     return InvalidArgumentError("sealed payload shorter than nonce + tag");
   }
   Aead aead(content_key);
-  Bytes nonce(sealed.begin(), sealed.begin() + Aead::kNonceSize);
-  Bytes box(sealed.begin() + Aead::kNonceSize, sealed.end());
-  return aead.Open(nonce, /*aad=*/Bytes(), box);
+  Bytes plain(sealed.size() - Aead::kNonceSize - Aead::kTagSize);
+  RETURN_IF_ERROR(aead.Open(sealed.data(), /*aad=*/nullptr, 0,
+                            sealed.data() + Aead::kNonceSize,
+                            sealed.size() - Aead::kNonceSize, plain.data()));
+  return plain;
 }
 
 Result<NfsFh> LockboxService::BoxDir(bool create) {

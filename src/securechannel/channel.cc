@@ -1,5 +1,7 @@
 #include "src/securechannel/channel.h"
 
+#include <cstring>
+
 #include "src/crypto/dh.h"
 #include "src/crypto/hmac.h"
 #include "src/crypto/sha.h"
@@ -11,6 +13,30 @@ namespace {
 constexpr size_t kNonceLen = 16;
 constexpr char kKdfInfoClient[] = "discfs-channel-v1 client->server";
 constexpr char kKdfInfoServer[] = "discfs-channel-v1 server->client";
+
+// A record is the XDR encoding of { u64 seq; opaque sealed<>; }:
+//   seq (8, big-endian) | len (4, big-endian) | sealed | zero pad to 4
+// where sealed = ciphertext || tag and the 8 seq bytes are also the AAD.
+constexpr size_t kSeqLen = 8;
+constexpr size_t kRecordHeader = kSeqLen + 4;
+constexpr size_t kMaxSealed = 1 << 26;  // XdrReader::GetOpaque's default cap
+
+size_t PadTo4(size_t n) { return (4 - n % 4) % 4; }
+
+void StoreBE(uint8_t* p, uint64_t v, size_t width) {
+  for (size_t i = 0; i < width; ++i) {
+    p[i] = static_cast<uint8_t>(v >> (8 * (width - 1 - i)));
+  }
+}
+
+// Zero || le64(seq). Directions are kept apart by their two HKDF keys,
+// not by the nonce.
+void BuildNonce(uint64_t seq, uint8_t nonce[Aead::kNonceSize]) {
+  std::memset(nonce, 0, 4);
+  for (int i = 0; i < 8; ++i) {
+    nonce[4 + i] = static_cast<uint8_t>(seq >> (8 * i));
+  }
+}
 
 struct Hello {
   Bytes identity_key;  // serialized DsaPublicKey
@@ -83,14 +109,6 @@ SecureChannel::SecureChannel(std::unique_ptr<MsgStream> transport,
       send_aead_(std::move(send_key)),
       recv_aead_(std::move(recv_key)),
       peer_key_(std::move(peer_key)) {}
-
-Bytes SecureChannel::BuildNonce(uint64_t seq) {
-  Bytes nonce(Aead::kNonceSize, 0);
-  for (int i = 0; i < 8; ++i) {
-    nonce[4 + i] = static_cast<uint8_t>(seq >> (8 * i));
-  }
-  return nonce;
-}
 
 Result<std::unique_ptr<SecureChannel>> SecureChannel::ClientHandshake(
     std::unique_ptr<MsgStream> transport, const ChannelIdentity& identity,
@@ -229,14 +247,15 @@ Result<std::unique_ptr<SecureChannel>> ServerHandshakeMachine::Finish(
 
 Bytes SecureChannel::SealRecord(const Bytes& message) {
   ++send_seq_;
-  XdrWriter aad_writer;
-  aad_writer.PutU64(send_seq_);
-  Bytes aad = aad_writer.Take();
-  Bytes sealed = send_aead_.Seal(BuildNonce(send_seq_), aad, message);
-  XdrWriter w;
-  w.PutU64(send_seq_);
-  w.PutOpaque(sealed);
-  return w.Take();
+  uint8_t nonce[Aead::kNonceSize];
+  BuildNonce(send_seq_, nonce);
+  const size_t sealed_len = message.size() + Aead::kTagSize;
+  Bytes frame(kRecordHeader + sealed_len + PadTo4(sealed_len));
+  StoreBE(frame.data(), send_seq_, kSeqLen);
+  StoreBE(frame.data() + kSeqLen, sealed_len, 4);
+  send_aead_.Seal(nonce, /*aad=*/frame.data(), kSeqLen, message.data(),
+                  message.size(), frame.data() + kRecordHeader);
+  return frame;
 }
 
 Status SecureChannel::Send(const Bytes& message) {
@@ -257,16 +276,23 @@ Result<bool> SecureChannel::FlushSend() {
 }
 
 Result<Bytes> SecureChannel::OpenRecord(const Bytes& frame) {
+  // The opaque is opened where it lies, under XdrReader::GetOpaque's cap
+  // and exact-length rule; as there, the pad bytes are unchecked.
   XdrReader r(frame);
   ASSIGN_OR_RETURN(uint64_t seq, r.GetU64());
-  ASSIGN_OR_RETURN(Bytes sealed, r.GetOpaque());
-  if (!r.AtEnd()) {
-    return DataLossError("trailing bytes in record");
+  ASSIGN_OR_RETURN(uint32_t sealed_len, r.GetU32());
+  if (sealed_len > kMaxSealed) {
+    return DataLossError("record exceeds limit");
   }
-  XdrWriter aad_writer;
-  aad_writer.PutU64(seq);
-  ASSIGN_OR_RETURN(Bytes plain,
-                   recv_aead_.Open(BuildNonce(seq), aad_writer.Take(), sealed));
+  if (r.remaining() != sealed_len + PadTo4(sealed_len)) {
+    return DataLossError("record length does not match its frame");
+  }
+  uint8_t nonce[Aead::kNonceSize];
+  BuildNonce(seq, nonce);
+  Bytes plain(sealed_len < Aead::kTagSize ? 0 : sealed_len - Aead::kTagSize);
+  RETURN_IF_ERROR(recv_aead_.Open(nonce, /*aad=*/frame.data(), kSeqLen,
+                                  frame.data() + kRecordHeader, sealed_len,
+                                  plain.data()));
   // Replay check happens after authentication so an attacker cannot poison
   // the window with forged sequence numbers.
   if (!recv_window_.CheckAndUpdate(seq)) {

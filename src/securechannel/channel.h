@@ -18,8 +18,8 @@
 // where transcript_1 = ClientHello || ServerHello-body and transcript_2 =
 // transcript_1 || ServerHello-signature. Traffic keys come from
 // HKDF(salt = nonce_c || nonce_s, ikm = DH secret). Each direction has its
-// own key; record nonces encode the direction and a monotone sequence
-// number, which is also authenticated as AAD.
+// own key, which is what keeps the directions apart; a record's nonce is
+// its monotone sequence number alone, also authenticated as AAD.
 #ifndef DISCFS_SRC_SECURECHANNEL_CHANNEL_H_
 #define DISCFS_SRC_SECURECHANNEL_CHANNEL_H_
 
@@ -86,10 +86,10 @@ class SecureChannel : public MsgStream {
   SecureChannel(std::unique_ptr<MsgStream> transport, Bytes send_key,
                 Bytes recv_key, DsaPublicKey peer_key);
 
-  static Bytes BuildNonce(uint64_t seq);
-  // Authenticates + replay-checks one wire record (recv_mu_ held).
+  // Authenticates + replay-checks one wire record where it lies and
+  // decrypts it into the returned buffer (recv_mu_ held).
   Result<Bytes> OpenRecord(const Bytes& frame);
-  // Seals `message` into a wire record (send_mu_ held).
+  // Sizes a wire record once and seals `message` into it (send_mu_ held).
   Bytes SealRecord(const Bytes& message);
 
   std::unique_ptr<MsgStream> transport_;

@@ -8,13 +8,13 @@ bool ReplayWindow::CheckAndUpdate(uint64_t seq) {
   }
   if (seq > highest_) {
     uint64_t shift = seq - highest_;
-    bitmap_ = (shift >= 64) ? 0 : (bitmap_ << shift);
+    bitmap_ = (shift >= kSize) ? 0 : (bitmap_ << shift);
     bitmap_ |= 1;  // bit 0 = seq itself
     highest_ = seq;
     return true;
   }
   uint64_t offset = highest_ - seq;
-  if (offset >= size_) {
+  if (offset >= kSize) {
     return false;  // too old
   }
   uint64_t bit = 1ULL << offset;

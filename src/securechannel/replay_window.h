@@ -12,7 +12,8 @@ namespace discfs {
 
 class ReplayWindow {
  public:
-  explicit ReplayWindow(uint32_t size = 64) : size_(size) {}
+  // One bit per sequence number in a 64-bit bitmap.
+  static constexpr uint64_t kSize = 64;
 
   // Returns true (and records the number) if `seq` is new; false if it is a
   // replay or too far in the past. Sequence numbers start at 1; 0 is never
@@ -20,9 +21,8 @@ class ReplayWindow {
   bool CheckAndUpdate(uint64_t seq);
 
  private:
-  uint32_t size_;
   uint64_t highest_ = 0;
-  uint64_t bitmap_ = 0;  // bit i = (highest_ - i) seen, i in [0, size_)
+  uint64_t bitmap_ = 0;  // bit i = (highest_ - i) seen, i in [0, kSize)
 };
 
 }  // namespace discfs

@@ -33,15 +33,17 @@ inline void Append(Bytes& out, const uint8_t* data, size_t len) {
 }
 
 // Timing-independent equality; required when comparing MACs/signatures.
-inline bool ConstantTimeEqual(const Bytes& a, const Bytes& b) {
-  if (a.size() != b.size()) {
-    return false;
-  }
+inline bool ConstantTimeEqual(const uint8_t* a, const uint8_t* b, size_t len) {
   uint8_t acc = 0;
-  for (size_t i = 0; i < a.size(); ++i) {
+  for (size_t i = 0; i < len; ++i) {
     acc |= static_cast<uint8_t>(a[i] ^ b[i]);
   }
   return acc == 0;
+}
+
+inline bool ConstantTimeEqual(const Bytes& a, const Bytes& b) {
+  return a.size() == b.size() &&
+         ConstantTimeEqual(a.data(), b.data(), a.size());
 }
 
 }  // namespace discfs

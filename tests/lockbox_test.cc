@@ -17,6 +17,7 @@
 #include "src/lockbox/lockbox.h"
 #include "src/util/prng.h"
 #include "src/wire/lockbox.h"
+#include "src/wire/xdr.h"
 
 namespace discfs {
 namespace {
@@ -72,6 +73,46 @@ TEST(LockboxCrypto, SealOpenPayload) {
   bent.back() ^= 0x80;
   EXPECT_FALSE(OpenPayload(key, bent).ok());
   EXPECT_FALSE(OpenPayload(GenerateContentKey(TestRand(7)), sealed).ok());
+}
+
+// Whoever builds a wrapped-key blob chooses its nonce length. Anything but
+// 12 bytes is a malformed blob, including a longer nonce whose first 12
+// bytes are the genuine ones.
+TEST(KeyWrap, NonceOfWrongLengthRejected) {
+  DsaPrivateKey alice = DsaPrivateKey::Generate(Dsa512(), TestRand(1));
+  auto wrapped =
+      WrapKey(alice.public_key(), GenerateContentKey(TestRand(3)), TestRand(4));
+  ASSERT_TRUE(wrapped.ok()) << wrapped.status();
+  XdrReader r(*wrapped);
+  Bytes ephemeral = r.GetOpaque().value();
+  Bytes nonce = r.GetOpaque().value();
+  Bytes box = r.GetOpaque().value();
+  for (size_t len : {0u, 4u, 11u, 13u, 20u}) {
+    Bytes bent_nonce = nonce;
+    bent_nonce.resize(len, 0x33);
+    XdrWriter w;
+    w.PutOpaque(ephemeral);
+    w.PutOpaque(bent_nonce);
+    w.PutOpaque(box);
+    EXPECT_EQ(UnwrapKey(alice, w.Take()).status().code(),
+              StatusCode::kInvalidArgument)
+        << "nonce of " << len << " bytes";
+  }
+}
+
+// A granter may wrap a secret of any length as the content key; the
+// recipient must not hand a short one to the AEAD.
+TEST(LockboxCrypto, WrappedContentKeyOfWrongLengthRejected) {
+  DsaPrivateKey alice = DsaPrivateKey::Generate(Dsa512(), TestRand(1));
+  Bytes sealed = SealPayload(GenerateContentKey(TestRand(5)),
+                             ToBytes("payload"), TestRand(6));
+  auto wrapped = WrapKey(alice.public_key(), Bytes(5, 0x42), TestRand(7));
+  ASSERT_TRUE(wrapped.ok()) << wrapped.status();
+  auto key = UnwrapKey(alice, *wrapped);
+  ASSERT_TRUE(key.ok()) << key.status();
+  ASSERT_EQ(key->size(), 5u);
+  EXPECT_EQ(OpenPayload(*key, sealed).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 // --- wire codec ---

@@ -30,11 +30,15 @@ class TamperTransport : public MsgStream {
 
   Status Send(const Bytes& message) override {
     sent_.push_back(message);
-    return inner_->Send(message);
+    return forward_ ? inner_->Send(message) : OkStatus();
   }
   Result<Bytes> Recv() override { return inner_->Recv(); }
   void Close() override { inner_->Close(); }
 
+  // While false, frames are captured but never reach the peer.
+  void set_forward(bool forward) { forward_ = forward; }
+  // Puts arbitrary bytes on the wire as one frame.
+  Status Inject(const Bytes& frame) { return inner_->Send(frame); }
   // Replays a previously sent frame (e.g. a captured WRITE).
   Status Replay(size_t index) { return inner_->Send(sent_.at(index)); }
   // Sends a bit-flipped copy of a captured frame.
@@ -49,10 +53,12 @@ class TamperTransport : public MsgStream {
  private:
   std::unique_ptr<MsgStream> inner_;
   std::deque<Bytes> sent_;
+  bool forward_ = true;
 };
 
 struct ChannelPair {
-  TamperTransport* tap;  // owned by client channel
+  TamperTransport* tap;         // owned by client channel
+  TamperTransport* server_tap;  // owned by server channel
   std::unique_ptr<SecureChannel> client;
   std::unique_ptr<SecureChannel> server;
 };
@@ -63,6 +69,9 @@ ChannelPair MakeTappedPair() {
   auto transports = InProcTransport::CreatePair();
   auto tapped = std::make_unique<TamperTransport>(std::move(transports.a));
   TamperTransport* tap = tapped.get();
+  auto server_tapped =
+      std::make_unique<TamperTransport>(std::move(transports.b));
+  TamperTransport* server_tap = server_tapped.get();
 
   ChannelIdentity client_id{client_key, TestRand(10)};
   ChannelIdentity server_id{server_key, TestRand(11)};
@@ -70,14 +79,14 @@ ChannelPair MakeTappedPair() {
       UnavailableError("pending");
   std::thread server_thread([&] {
     server_chan =
-        SecureChannel::ServerHandshake(std::move(transports.b), server_id);
+        SecureChannel::ServerHandshake(std::move(server_tapped), server_id);
   });
   auto client_chan = SecureChannel::ClientHandshake(std::move(tapped),
                                                     client_id, std::nullopt);
   server_thread.join();
   EXPECT_TRUE(client_chan.ok());
   EXPECT_TRUE(server_chan.ok());
-  return ChannelPair{tap, std::move(client_chan).value(),
+  return ChannelPair{tap, server_tap, std::move(client_chan).value(),
                      std::move(server_chan).value()};
 }
 
@@ -93,6 +102,83 @@ TEST(ChannelSecurity, ReplayedRecordRejected) {
   auto replayed = pair.server->Recv();
   EXPECT_FALSE(replayed.ok());
   EXPECT_EQ(replayed.status().code(), StatusCode::kUnauthenticated);
+}
+
+// Each direction has its own HKDF key; the nonce is only the sequence
+// number. So a record bounced back at its own sender, whose receive window
+// has not yet seen that sequence number, still fails authentication.
+TEST(ChannelSecurity, ReflectedRecordRejected) {
+  ChannelPair pair = MakeTappedPair();
+  ASSERT_TRUE(pair.client->Send(ToBytes("WRITE $100 to account 7")).ok());
+  ASSERT_TRUE(pair.server->Recv().ok());
+  const Bytes& record = pair.tap->frame(pair.tap->frames() - 1);
+  ASSERT_TRUE(pair.server_tap->Inject(record).ok());
+  auto reflected = pair.client->Recv();
+  EXPECT_EQ(reflected.status().code(), StatusCode::kUnauthenticated);
+}
+
+// The receiver parses seq | len | sealed | pad where the frame lies. Every
+// malformed frame must fail with an error (and, under ASAN and UBSAN, read
+// nothing out of bounds) and leave the channel able to open the genuine
+// records afterwards. The pad bytes are not checked.
+TEST(ChannelSecurity, HostileRecordFramesRejected) {
+  ChannelPair pair = MakeTappedPair();
+  Prng prng(5);
+  const Bytes message = prng.NextBytes(8192);
+  const Bytes odd_message = prng.NextBytes(8191);  // sealed 8207: 1 pad byte
+  pair.tap->set_forward(false);  // capture both records, deliver neither
+  ASSERT_TRUE(pair.client->Send(message).ok());
+  ASSERT_TRUE(pair.client->Send(odd_message).ok());
+  pair.tap->set_forward(true);
+  const Bytes record = pair.tap->frame(pair.tap->frames() - 2);
+  const Bytes odd_record = pair.tap->frame(pair.tap->frames() - 1);
+  ASSERT_EQ(record.size(), 12u + 8192 + 16);
+  ASSERT_EQ(odd_record.size(), 12u + 8207 + 1);
+
+  // The genuine seq field, then `len` in place of the real length.
+  auto with_len = [&](uint32_t len, bool keep_payload) {
+    Bytes frame(record.begin(), record.begin() + 8);
+    for (int shift = 24; shift >= 0; shift -= 8) {
+      frame.push_back(static_cast<uint8_t>(len >> shift));
+    }
+    if (keep_payload) {
+      frame.insert(frame.end(), record.begin() + 12, record.end());
+    }
+    return frame;
+  };
+  std::vector<Bytes> hostile;
+  for (size_t n = 0; n < record.size(); ++n) {
+    hostile.emplace_back(record.begin(), record.begin() + n);
+  }
+  for (uint32_t len : {0u, 15u, 16u}) {
+    hostile.push_back(with_len(len, /*keep_payload=*/false));
+  }
+  hostile.push_back(with_len(8192 + 16 + 1, /*keep_payload=*/true));
+  hostile.push_back(with_len(0xffffffffu, /*keep_payload=*/true));
+  for (const Bytes& genuine : {record, odd_record}) {
+    for (size_t extra : {1u, 4u}) {
+      Bytes trailing = genuine;
+      trailing.insert(trailing.end(), extra, 0);
+      hostile.push_back(trailing);
+    }
+  }
+
+  for (const Bytes& frame : hostile) {
+    ASSERT_TRUE(pair.tap->Inject(frame).ok());
+    Result<Bytes> got = pair.server->Recv();
+    ASSERT_FALSE(got.ok()) << "accepted a frame of " << frame.size()
+                           << " bytes";
+  }
+  ASSERT_TRUE(pair.tap->Inject(record).ok());
+  Result<Bytes> got = pair.server->Recv();
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_EQ(*got, message);
+  Bytes odd_padded = odd_record;
+  odd_padded.back() = 0xee;  // unauthenticated pad, as XDR decoding allows
+  ASSERT_TRUE(pair.tap->Inject(odd_padded).ok());
+  got = pair.server->Recv();
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_EQ(*got, odd_message);
 }
 
 TEST(ChannelSecurity, CorruptedRecordRejected) {

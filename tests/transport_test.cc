@@ -207,7 +207,7 @@ TEST(ReplayWindowTest, OutOfOrderWithinWindowAccepted) {
 }
 
 TEST(ReplayWindowTest, TooOldRejected) {
-  ReplayWindow w(64);
+  ReplayWindow w;
   EXPECT_TRUE(w.CheckAndUpdate(100));
   EXPECT_FALSE(w.CheckAndUpdate(36));  // 100-36 = 64 >= window
   EXPECT_TRUE(w.CheckAndUpdate(37));   // 63 < window
