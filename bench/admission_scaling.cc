@@ -19,7 +19,6 @@
 // credential tiers.
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
@@ -40,42 +39,12 @@
 namespace discfs {
 namespace {
 
+using bench::BenchRand;
 using bench::GateOp;
 using bench::Json;
-
-std::function<Bytes(size_t)> BenchRand(uint64_t seed) {
-  auto prng = std::make_shared<Prng>(seed);
-  return [prng](size_t n) { return prng->NextBytes(n); };
-}
-
-double NowSec() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-struct LatencySummary {
-  double mean_us = 0;
-  double p50_us = 0;
-  double p99_us = 0;
-};
-
-LatencySummary Summarize(std::vector<double> samples_us) {
-  LatencySummary s;
-  if (samples_us.empty()) {
-    return s;
-  }
-  std::sort(samples_us.begin(), samples_us.end());
-  double sum = 0;
-  for (double v : samples_us) {
-    sum += v;
-  }
-  s.mean_us = sum / samples_us.size();
-  s.p50_us = samples_us[samples_us.size() / 2];
-  s.p99_us = samples_us[std::min(samples_us.size() - 1,
-                                 samples_us.size() * 99 / 100)];
-  return s;
-}
+using bench::LatencySummary;
+using bench::NowSec;
+using bench::Summarize;
 
 // The seed-era DSA verify: both exponentiations through the reference
 // (schoolbook multiply + Knuth division) path, reductions via DivMod.
@@ -257,9 +226,9 @@ TierResult RunTier(const DsaPrivateKey& server_key, size_t n, Prng& prng) {
 
 Json LatencyJson(const LatencySummary& l) {
   Json out = Json::Object();
-  out.Set("mean", l.mean_us);
-  out.Set("p50", l.p50_us);
-  out.Set("p99", l.p99_us);
+  out.Set("mean", l.mean);
+  out.Set("p50", l.p50);
+  out.Set("p99", l.p99);
   return out;
 }
 
@@ -310,11 +279,11 @@ int Run(int argc, char** argv) {
     }
     TierResult r = RunTier(server_key, n, prng);
     std::printf("%-8zu %14.1f %14.1f %12.0f %12.0f %12.0f %9.2f%% %12.0f\n",
-                n, r.verify_ref.p50_us, r.verify_fast.p50_us,
+                n, r.verify_ref.p50, r.verify_fast.p50,
                 r.admit_per_s_1t, r.admit_per_s_4t, r.admit_per_s_8t,
                 r.sig_cache_hit_rate * 100, r.resubmit_per_s);
     std::fflush(stdout);
-    const double verify_ratio = r.verify_ref.mean_us / r.verify_fast.mean_us;
+    const double verify_ratio = r.verify_ref.mean / r.verify_fast.mean;
     verify_speedup = bench::GateMin(verify_speedup, verify_ratio);
     const double admit_ratio = r.admit_per_s_8t / r.admit_per_s_1t;
     admit_scaling = bench::GateMax(admit_scaling, admit_ratio);

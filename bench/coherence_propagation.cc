@@ -31,27 +31,20 @@
 #include "src/crypto/groups.h"
 #include "src/discfs/host.h"
 #include "src/ffs/ffs.h"
-#include "src/util/prng.h"
 
 namespace discfs {
 namespace {
 
+using bench::BenchRand;
 using bench::GateOp;
 using bench::Json;
+using bench::LatencySummary;
+using bench::NowSec;
+using bench::Summarize;
 
 constexpr size_t kWarmPrincipals = 64;
 constexpr size_t kLatencySamples = 200;
 constexpr auto kConvergeTimeout = std::chrono::seconds(30);
-
-std::function<Bytes(size_t)> BenchRand(uint64_t seed) {
-  return LockedPrngBytes(seed);
-}
-
-double NowSec() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 struct Node {
   std::shared_ptr<FfsVfs> vfs;
@@ -208,10 +201,9 @@ TierResult RunTier(size_t cluster_size, size_t burst_events) {
     }
     samples_us.push_back((NowSec() - t0) * 1e6);
   }
-  std::sort(samples_us.begin(), samples_us.end());
-  tier.p50_us = samples_us[samples_us.size() / 2];
-  tier.p99_us = samples_us[std::min(samples_us.size() - 1,
-                                    samples_us.size() * 99 / 100)];
+  LatencySummary latency = Summarize(std::move(samples_us));
+  tier.p50_us = latency.p50;
+  tier.p99_us = latency.p99;
 
   // --- throughput phase: closed burst, acked at every peer ---
   double t0 = NowSec();

@@ -43,26 +43,17 @@
 #include "src/discfs/revocation.h"
 #include "src/ffs/ffs.h"
 #include "src/obs/trace.h"
-#include "src/util/prng.h"
 
 namespace discfs {
 namespace {
 
+using bench::BenchRand;
 using bench::GateOp;
 using bench::Json;
+using bench::NowSec;
 
 constexpr size_t kWarmPrincipals = 64;
 constexpr auto kConvergeTimeout = std::chrono::seconds(60);
-
-std::function<Bytes(size_t)> BenchRand(uint64_t seed) {
-  return LockedPrngBytes(seed);
-}
-
-double NowSec() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 // Aggressive tuning so the full fault sequence (restarts, partition,
 // heal) completes in seconds: fast heartbeats to detect death, fast

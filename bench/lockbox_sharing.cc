@@ -36,13 +36,14 @@
 #include "src/ffs/ffs.h"
 #include "src/lockbox/chunkstore.h"
 #include "src/lockbox/lockbox.h"
-#include "src/util/prng.h"
 
 namespace discfs {
 namespace {
 
+using bench::BenchRand;
 using bench::GateOp;
 using bench::Json;
+using bench::NowSec;
 
 constexpr size_t kPublicUsers = 16;
 constexpr size_t kPrivateUsers = 8;
@@ -50,16 +51,6 @@ constexpr size_t kPayloadBytes = 256 << 10;
 constexpr uint32_t kChunkBytes = 16 << 10;
 constexpr size_t kRevokedAttempts = 20;
 constexpr auto kConvergeTimeout = std::chrono::seconds(30);
-
-std::function<Bytes(size_t)> BenchRand(uint64_t seed) {
-  return LockedPrngBytes(seed);
-}
-
-double NowSec() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 struct Node {
   std::shared_ptr<FfsVfs> vfs;

@@ -7,7 +7,6 @@
 // growing batches until the timed batch lasts long enough to trust the
 // clock, then reported as ns/op (and MB/s where a payload size applies).
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <functional>
 #include <memory>
@@ -16,6 +15,7 @@
 #include <vector>
 
 #include "bench/fs_backend.h"
+#include "bench/report.h"
 #include "src/crypto/aead.h"
 #include "src/crypto/chacha20.h"
 #include "src/crypto/dsa.h"
@@ -31,6 +31,9 @@
 namespace discfs {
 namespace {
 
+using bench::BenchRand;
+using bench::NowSec;
+
 constexpr size_t kBlock = 8192;
 constexpr double kMinBatchSec = 0.05;
 
@@ -41,17 +44,6 @@ volatile uint64_t g_sink = 0;
 void Sink(uint64_t v) { g_sink += v; }
 void Sink(const Bytes& b) { g_sink += b.empty() ? 1 : b[0]; }
 void Sink(bool b) { g_sink += b ? 1 : 2; }
-
-std::function<Bytes(size_t)> BenchRand(uint64_t seed) {
-  auto prng = std::make_shared<Prng>(seed);
-  return [prng](size_t n) { return prng->NextBytes(n); };
-}
-
-double NowSec() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 struct Timing {
   uint64_t iters = 0;

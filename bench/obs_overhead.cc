@@ -14,7 +14,6 @@
 // Output: table on stdout + BENCH_obs.json (argv[1], default
 // ./BENCH_obs.json; docs/BENCH_SCHEMAS.md).
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
@@ -36,30 +35,21 @@
 #include "src/ffs/ffs.h"
 #include "src/rpc/rpc.h"
 #include "src/securechannel/channel.h"
-#include "src/util/prng.h"
 #include "src/vfs/vfs.h"
 #include "src/wire/xdr.h"
 
 namespace discfs {
 namespace {
 
+using bench::BenchRand;
 using bench::GateOp;
 using bench::Json;
+using bench::NowSec;
 
 constexpr size_t kTrials = 5;
 constexpr size_t kWindow = 64;
 constexpr size_t kPipelinedOpsPerRound = 4000;
 constexpr size_t kAdmissionOpsPerRound = 400;
-
-std::function<Bytes(size_t)> BenchRand(uint64_t seed) {
-  return LockedPrngBytes(seed);
-}
-
-double NowSec() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 double Median(std::vector<double> v) {
   std::sort(v.begin(), v.end());

@@ -59,8 +59,12 @@
 namespace discfs {
 namespace {
 
+using bench::BenchRand;
 using bench::GateOp;
 using bench::Json;
+using bench::LatencySummary;
+using bench::NowSec;
+using bench::Summarize;
 
 constexpr size_t kLicenseesPerCredential = 100;
 constexpr size_t kIntermediaries = 10;
@@ -94,16 +98,6 @@ constexpr uint32_t kExpiryReadBytes = 64 << 10;
 // past the deadline proves expired work was executed.
 constexpr double kLateGraceS = 0.25;
 
-std::function<Bytes(size_t)> BenchRand(uint64_t seed) {
-  return LockedPrngBytes(seed);
-}
-
-double NowSec() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 #define BENCH_CHECK(cond)                                              \
   do {                                                                 \
     if (!(cond)) {                                                     \
@@ -122,23 +116,6 @@ bool WaitFor(const std::function<bool()>& cond, double limit_s) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   return cond();
-}
-
-struct LatencySummary {
-  double p50_ms = 0;
-  double p99_ms = 0;
-};
-
-LatencySummary Summarize(std::vector<double> samples_ms) {
-  LatencySummary s;
-  if (samples_ms.empty()) {
-    return s;
-  }
-  std::sort(samples_ms.begin(), samples_ms.end());
-  s.p50_ms = samples_ms[samples_ms.size() / 2];
-  s.p99_ms = samples_ms[std::min(samples_ms.size() - 1,
-                                 samples_ms.size() * 99 / 100)];
-  return s;
 }
 
 // ------------------------------------------------------------ environment
@@ -789,8 +766,8 @@ Json PhaseJson(const PhaseResult& p) {
   out.Set("deadline_exceeded", p.deadline_exceeded);
   out.Set("other_errors", p.other_errors);
   out.Set("goodput_ops_s", p.goodput_ops_s);
-  out.Set("p50_ms", p.latency.p50_ms);
-  out.Set("p99_ms", p.latency.p99_ms);
+  out.Set("p50_ms", p.latency.p50);
+  out.Set("p99_ms", p.latency.p99);
   out.Set("control_sent", p.control_sent);
   out.Set("control_ok", p.control_ok);
   out.Set("control_errors", p.control_errors);
@@ -897,8 +874,8 @@ int Run(int argc, char** argv) {
                 static_cast<unsigned long long>(phase.sent),
                 static_cast<unsigned long long>(phase.ok),
                 static_cast<unsigned long long>(phase.shed),
-                phase.goodput_ops_s, phase.latency.p50_ms,
-                phase.latency.p99_ms,
+                phase.goodput_ops_s, phase.latency.p50,
+                phase.latency.p99,
                 static_cast<unsigned long long>(phase.control_ok),
                 static_cast<unsigned long long>(phase.shed_control));
     std::fflush(stdout);
@@ -942,7 +919,7 @@ int Run(int argc, char** argv) {
   report.Set("corpus", CorpusJson(corpus, credentials));
   report.Set("saturation_ops_s", saturation);
   report.Set("phases", std::move(phases_json));
-  report.Set("sub_saturation_p99_ms", phases[0].latency.p99_ms);
+  report.Set("sub_saturation_p99_ms", phases[0].latency.p99);
   report.Set("goodput_ratio_2x", goodput_ratio_2x);
   report.Set("deadline", DeadlineJson(dl));
   report.Set("handshake_flood", FloodJson(fl));
@@ -971,7 +948,7 @@ int Run(int argc, char** argv) {
   report.AddGate("handshake_flood.drained", fl.drained ? 1 : 0, GateOp::kEq, 1);
   // Latency and goodput depend on the open-loop drivers, the client demux
   // threads and the server sharing the cores.
-  report.AddGate("sub_saturation_p99_ms", phases[0].latency.p99_ms, GateOp::kLe,
+  report.AddGate("sub_saturation_p99_ms", phases[0].latency.p99, GateOp::kLe,
                  50, 4);
   report.AddGate("goodput_ratio_2x", goodput_ratio_2x, GateOp::kGe, 0.7, 4);
   return report.Write(out_path);

@@ -17,7 +17,6 @@
 // argv[1], default ./BENCH_policy.json; docs/BENCH_SCHEMAS.md). The index
 // must agree with the full scan at every size.
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
@@ -34,47 +33,17 @@
 namespace discfs {
 namespace {
 
+using bench::BenchRand;
 using bench::GateOp;
 using bench::Json;
+using bench::LatencySummary;
+using bench::NowSec;
+using bench::Summarize;
 using keynote::AssertionBuilder;
 using keynote::ComplianceQuery;
 using keynote::KeyNoteSession;
 using keynote::PermissionLattice;
 using keynote::SignatureAlgorithm;
-
-std::function<Bytes(size_t)> BenchRand(uint64_t seed) {
-  auto prng = std::make_shared<Prng>(seed);
-  return [prng](size_t n) { return prng->NextBytes(n); };
-}
-
-double NowSec() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-struct LatencySummary {
-  double mean_us = 0;
-  double p50_us = 0;
-  double p99_us = 0;
-};
-
-LatencySummary Summarize(std::vector<double> samples_us) {
-  LatencySummary s;
-  if (samples_us.empty()) {
-    return s;
-  }
-  std::sort(samples_us.begin(), samples_us.end());
-  double sum = 0;
-  for (double v : samples_us) {
-    sum += v;
-  }
-  s.mean_us = sum / samples_us.size();
-  s.p50_us = samples_us[samples_us.size() / 2];
-  s.p99_us = samples_us[std::min(samples_us.size() - 1,
-                                 samples_us.size() * 99 / 100)];
-  return s;
-}
 
 std::string PrincipalName(size_t i) { return "user" + std::to_string(i); }
 
@@ -203,9 +172,9 @@ Result<SizeResult> RunSize(const DsaPrivateKey& server_key, size_t n,
 
 Json LatencyJson(const LatencySummary& l) {
   Json out = Json::Object();
-  out.Set("mean", l.mean_us);
-  out.Set("p50", l.p50_us);
-  out.Set("p99", l.p99_us);
+  out.Set("mean", l.mean);
+  out.Set("p50", l.p50);
+  out.Set("p99", l.p99);
   return out;
 }
 
@@ -261,7 +230,7 @@ int Run(int argc, char** argv) {
     }
     const SizeResult& r = *result;
     std::printf("%-8zu %12.2f %16.2f %16.2f %14.0f %9.0f%%\n", n, r.admit_s,
-                r.indexed_miss.p50_us, r.fullscan_miss.p50_us,
+                r.indexed_miss.p50, r.fullscan_miss.p50,
                 r.warm_hit_ops_per_s, r.survivor_hit_rate * 100);
     std::fflush(stdout);
     tiers.Push(TierJson(r));

@@ -1,9 +1,12 @@
 #include "bench/report.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <thread>
+
+#include "src/util/prng.h"
 
 namespace discfs::bench {
 namespace {
@@ -113,6 +116,32 @@ double GateMax(double a, double b) {
 
 unsigned HardwareThreads() {
   return std::max(1u, std::thread::hardware_concurrency());
+}
+
+double NowSec() {
+  return std::chrono::duration<double>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+std::function<Bytes(size_t)> BenchRand(uint64_t seed) {
+  return LockedPrngBytes(seed);
+}
+
+LatencySummary Summarize(std::vector<double> samples) {
+  LatencySummary s;
+  if (samples.empty()) {
+    return s;
+  }
+  std::sort(samples.begin(), samples.end());
+  double sum = 0;
+  for (double v : samples) {
+    sum += v;
+  }
+  s.mean = sum / samples.size();
+  s.p50 = samples[samples.size() / 2];
+  s.p99 = samples[std::min(samples.size() - 1, samples.size() * 99 / 100)];
+  return s;
 }
 
 Report::Report(std::string bench, unsigned hardware_threads)

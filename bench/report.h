@@ -15,13 +15,19 @@
 // that it is recorded with "enforced": false and cannot fail the run.
 // tools/check_bench_schema.py re-evaluates every recorded gate, so the
 // file and the exit code cannot disagree.
+//
+// The helpers every bench times and seeds itself with live here too.
 #ifndef DISCFS_BENCH_REPORT_H_
 #define DISCFS_BENCH_REPORT_H_
 
+#include <cstdint>
+#include <functional>
 #include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
+
+#include "src/util/bytes.h"
 
 namespace discfs::bench {
 
@@ -86,6 +92,22 @@ double GateMax(double a, double b);
 
 // std::thread::hardware_concurrency(), or 1 when it is unknown.
 unsigned HardwareThreads();
+
+// Steady-clock seconds, for timing a bench's phases.
+double NowSec();
+
+// The seeded randomness a bench builds keys and payloads from: the same
+// bytes for the same seed on every run, safe to share between threads.
+std::function<Bytes(size_t)> BenchRand(uint64_t seed);
+
+// Mean, median and 99th percentile of a set of samples, in the samples'
+// unit; all 0 for an empty set.
+struct LatencySummary {
+  double mean = 0;
+  double p50 = 0;
+  double p99 = 0;
+};
+LatencySummary Summarize(std::vector<double> samples);
 
 class Report {
  public:

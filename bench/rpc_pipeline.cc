@@ -35,14 +35,17 @@
 #include "src/net/transport.h"
 #include "src/rpc/rpc.h"
 #include "src/securechannel/channel.h"
-#include "src/util/prng.h"
 #include "src/util/worker_pool.h"
 
 namespace discfs {
 namespace {
 
+using bench::BenchRand;
 using bench::GateOp;
 using bench::Json;
+using bench::LatencySummary;
+using bench::NowSec;
+using bench::Summarize;
 
 constexpr uint32_t kProg = 7;
 constexpr uint32_t kProcEcho = 1;
@@ -50,17 +53,6 @@ constexpr uint32_t kProcEcho = 1;
 // (crypto + syscalls), which is what pipelining can overlap; the CPU
 // phase serializes on small machines regardless of in-flight depth.
 constexpr auto kSimulatedIo = std::chrono::microseconds(400);
-
-std::function<Bytes(size_t)> BenchRand(uint64_t seed) {
-  auto prng = std::make_shared<Prng>(seed);
-  return [prng](size_t n) { return prng->NextBytes(n); };
-}
-
-double NowSec() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 // Threads currently in this process (the whole bench runs in one process,
 // so this covers server poller + workers + client poller + drivers).
@@ -73,23 +65,6 @@ size_t CurrentThreadCount() {
     }
   }
   return 0;
-}
-
-struct LatencySummary {
-  double p50_us = 0;
-  double p99_us = 0;
-};
-
-LatencySummary Summarize(std::vector<double> samples_us) {
-  LatencySummary s;
-  if (samples_us.empty()) {
-    return s;
-  }
-  std::sort(samples_us.begin(), samples_us.end());
-  s.p50_us = samples_us[samples_us.size() / 2];
-  s.p99_us = samples_us[std::min(samples_us.size() - 1,
-                                 samples_us.size() * 99 / 100)];
-  return s;
 }
 
 // Server: accepts until the listener closes; every connection handshakes
@@ -357,8 +332,8 @@ Json TierJson(const TierResult& r) {
   tier.Set("inflight", r.inflight);
   tier.Set("ops", r.ops);
   tier.Set("ops_per_s", r.ops_per_s);
-  tier.Set("p50_us", r.latency.p50_us);
-  tier.Set("p99_us", r.latency.p99_us);
+  tier.Set("p50_us", r.latency.p50);
+  tier.Set("p99_us", r.latency.p99);
   tier.Set("threads", r.threads);
   return tier;
 }
@@ -403,7 +378,7 @@ int Run(int argc, char** argv) {
                               spec.inflight);
     std::printf("%-6zu %-9zu %10zu %12.0f %10.1f %10.1f %8zu\n",
                 tier.connections, tier.inflight, tier.ops, tier.ops_per_s,
-                tier.latency.p50_us, tier.latency.p99_us, tier.threads);
+                tier.latency.p50, tier.latency.p99, tier.threads);
     std::fflush(stdout);
     if (spec.connections == 1 && spec.inflight == 1) {
       serial_1conn = tier.ops_per_s;

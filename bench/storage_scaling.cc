@@ -44,11 +44,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-double NowSec() {
-  return std::chrono::duration<double>(Clock::now().time_since_epoch())
-      .count();
-}
-
 size_t StorageFileMb() {
   const char* env = std::getenv("DISCFS_STORAGE_MB");
   if (env != nullptr) {

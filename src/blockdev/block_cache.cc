@@ -10,8 +10,9 @@
 namespace discfs {
 namespace {
 
-// ~64 blocks per shard, power of two, at most 16 shards; one shard for
-// small capacities (same sizing rule as the signature cache).
+// Doubles the shard count while each shard keeps at least 64 blocks, up
+// to 16 shards; one shard below 128 blocks. (The signature and policy
+// caches use a different rule: FloorPow2(capacity / 32), at most 16.)
 size_t DeriveShards(size_t capacity_blocks) {
   size_t shards = 1;
   while (shards < 16 && capacity_blocks / (shards * 2) >= 64) shards *= 2;

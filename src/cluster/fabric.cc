@@ -24,31 +24,6 @@ int64_t SteadyNowMs() {
       .count();
 }
 
-// Forwards to a stream owned by someone else. The peer sender keeps true
-// ownership of its TcpTransport so a concurrent Stop can always Shutdown
-// the live fd; the secure channel (and the RpcClient above it) own only
-// this view, whose Close intentionally degrades to Shutdown — the fd is
-// released by the owner, after the channel is gone, avoiding the
-// fd-reuse-while-registered race.
-class BorrowedStream : public MsgStream {
- public:
-  explicit BorrowedStream(MsgStream* inner) : inner_(inner) {}
-
-  Status Send(const Bytes& message) override { return inner_->Send(message); }
-  Result<Bytes> Recv() override { return inner_->Recv(); }
-  void Close() override { inner_->Shutdown(); }
-  void Shutdown() override { inner_->Shutdown(); }
-  int PollFd() const override { return inner_->PollFd(); }
-  Result<std::optional<Bytes>> TryRecv() override { return inner_->TryRecv(); }
-  Result<bool> SendNonBlocking(const Bytes& message) override {
-    return inner_->SendNonBlocking(message);
-  }
-  Result<bool> FlushSend() override { return inner_->FlushSend(); }
-
- private:
-  MsgStream* inner_;
-};
-
 }  // namespace
 
 // One outbound replication link. A dedicated thread drives the blocking
@@ -319,20 +294,25 @@ class CoherenceFabric::PeerSender {
       }
       transport_ = std::move(transport).value();
     }
-    // The handshake borrows the transport: Stop can Shutdown it at any
-    // point without an ownership race (see BorrowedStream).
-    auto channel = SecureChannel::ClientHandshake(
-        std::make_unique<BorrowedStream>(transport_.get()),
-        fabric_->config_.identity, peer_.expected_key);
+    // The transport stays ours until Finish, so Stop can Shutdown it
+    // mid-handshake; call_timeout bounds the wait for the peer's reply,
+    // as it bounds every RPC once connected.
+    HandshakeMachine machine =
+        HandshakeMachine::Client(fabric_->config_.identity, peer_.expected_key);
+    transport_->set_recv_timeout_ms(
+        static_cast<int>(fabric_->config_.tuning.call_timeout.count()));
+    Status shaken = machine.Run(*transport_);
     {
       std::lock_guard<std::mutex> lock(mu_);
-      if (!channel.ok() || stop_) {
+      if (!shaken.ok() || stop_) {
         transport_.reset();
         connect_failures_.fetch_add(1, std::memory_order_relaxed);
         return false;
       }
-      client_ = std::make_unique<RpcClient>(std::move(channel).value(),
-                                            fabric_->config_.loop);
+      transport_->set_recv_timeout_ms(0);
+      client_ = std::make_unique<RpcClient>(
+          machine.Finish(std::move(transport_)).value(),
+          fabric_->config_.loop);
     }
     // Learn where the peer wants us to resume (its cursor for our origin;
     // 0 from a fresh peer replays everything retained). The incarnation
@@ -404,7 +384,6 @@ class CoherenceFabric::PeerSender {
       client_->Close();
       client_.reset();  // unregisters from the loop before the fd dies
     }
-    transport_.reset();
   }
 
   CoherenceFabric* fabric_;
@@ -416,7 +395,8 @@ class CoherenceFabric::PeerSender {
   bool stop_ = false;    // guarded by mu_
   bool paused_ = false;  // guarded by mu_
   // Connection state: created/destroyed only by the sender thread, always
-  // under mu_, so Stop/SetPaused can safely poke whatever exists.
+  // under mu_, so Stop/SetPaused can safely poke whatever exists. The
+  // transport lives here only while handshaking; then the client owns it.
   std::unique_ptr<TcpTransport> transport_;  // guarded by mu_
   std::unique_ptr<RpcClient> client_;        // guarded by mu_
 

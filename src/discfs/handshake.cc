@@ -9,12 +9,15 @@ namespace discfs {
 // map by exactly one retire/complete path; shared_ptr copies held by
 // in-flight worker steps keep the transport alive until they finish.
 struct HandshakeReactor::Entry {
-  explicit Entry(const ChannelIdentity& identity) : machine(identity) {}
+  explicit Entry(const ChannelIdentity& identity)
+      : machine(HandshakeMachine::Server(identity)) {
+    machine.Start();  // a server opens with nothing to send
+  }
 
   uint64_t id = 0;  // disambiguates a reused fd number
   int fd = -1;
   std::unique_ptr<TcpTransport> transport;
-  ServerHandshakeMachine machine;
+  HandshakeMachine machine;
   std::chrono::steady_clock::time_point started;
 
   // All guarded by Core::mu. `busy` means a pool worker owns the
@@ -79,6 +82,10 @@ void HandshakeReactor::Begin(std::unique_ptr<TcpTransport> transport) {
     auto entry = std::make_shared<Entry>(core->opts.identity);
     entry->id = id;
     entry->fd = fd;
+    // Until the handshake completes, a frame longer than any handshake
+    // message fails from its header: a peer that has not authenticated
+    // cannot make the host buffer more than this per connection.
+    transport->set_max_frame(HandshakeMachine::kMaxMessage);
     entry->transport = std::move(transport);
     entry->started = std::chrono::steady_clock::now();
     core->entries.emplace(fd, std::move(entry));
@@ -197,8 +204,7 @@ void HandshakeReactor::OnEvent(const std::shared_ptr<Core>& core, int fd,
 void HandshakeReactor::RunStep(const std::shared_ptr<Core>& core,
                                const std::shared_ptr<Entry>& entry,
                                Bytes message) {
-  Result<ServerHandshakeMachine::Step> step =
-      entry->machine.OnMessage(message);
+  Result<HandshakeMachine::Step> step = entry->machine.OnMessage(message);
   bool send_failed = false;
   bool sent_fully = true;
   if (step.ok() && !step->response.empty()) {
@@ -233,6 +239,8 @@ void HandshakeReactor::RunStep(const std::shared_ptr<Core>& core,
     // Unregister before handing the fd-bearing channel out: the host will
     // register the same fd for RPC serving.
     core->opts.loop->Unregister(entry->fd);
+    // Frames pipelined behind ClientAuth are records.
+    entry->transport->set_max_frame(TcpTransport::kMaxFrame);
     Result<std::unique_ptr<SecureChannel>> channel =
         entry->machine.Finish(std::move(entry->transport));
     if (channel.ok()) {

@@ -9,15 +9,20 @@
 //
 // Here a half-open connection costs no thread at all: the socket sits on
 // the EventLoop, each complete handshake frame is handed to the sans-io
-// ServerHandshakeMachine on the pool (CPU work only — the worker never
-// blocks on the peer), and responses go back through the transport's
-// buffered non-blocking sender. Two hard bounds protect the host:
+// HandshakeMachine (server role) on the pool (CPU work only — the worker
+// never blocks on the peer), and responses go back through the
+// transport's buffered non-blocking sender. Three hard bounds protect the
+// host:
 //
 //  - timeout_ms: a per-connection deadline armed at accept; a handshake
 //    that has not completed when it fires is torn down.
 //  - max_half_open: at the cap, the oldest half-open handshake is evicted
 //    to admit the new arrival (newest-wins, so a flood cannot lock out
 //    fresh legitimate clients behind its own stale sockets).
+//  - HandshakeMachine::kMaxMessage: a longer frame fails the handshake
+//    from its length header, so a half-open connection buffers at most
+//    one capped frame plus one 64 KiB socket read; max_half_open times
+//    that bounds their memory.
 //
 // Threading: transport I/O happens only on the poller thread while the
 // entry is not `busy`; setting `busy` (poller, before the pool submit)

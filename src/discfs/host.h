@@ -62,7 +62,9 @@ struct DiscfsHostOptions {
   uint64_t handshake_timeout_ms = 5000;
   // Concurrent half-open handshakes; at the cap the oldest is evicted in
   // favor of the new arrival. Half-open connections cost no threads (they
-  // live on the event loop), so this bounds memory, not workers.
+  // live on the event loop), so this bounds memory, not workers: a
+  // handshake frame is capped at HandshakeMachine::kMaxMessage, so each
+  // buffers at most one capped frame plus one 64 KiB socket read.
   size_t max_half_open_handshakes = 256;
 
   // --- cluster coherence fabric (PR 4) ---

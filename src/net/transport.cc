@@ -49,8 +49,32 @@ Status SendAllVec(int fd, struct iovec* iov, int iovcnt) {
   return OkStatus();
 }
 
-constexpr size_t kMaxFrame = 1 << 26;  // 64 MiB sanity limit
 constexpr size_t kRecvChunk = 64 * 1024;
+
+// Waits until `fd` reports `events`, restarting on EINTR against the
+// remaining budget so a signal storm cannot extend the deadline. False,
+// with errno set (ETIMEDOUT once the deadline passes), when it is not
+// ready in time.
+bool PollUntil(int fd, short events,
+               std::chrono::steady_clock::time_point deadline) {
+  while (true) {
+    auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    int wait_ms = left.count() > 0 ? static_cast<int>(left.count()) : 0;
+    pollfd pfd{fd, events, 0};
+    int ready = ::poll(&pfd, 1, wait_ms);
+    if (ready > 0) {
+      return true;
+    }
+    if (ready == 0) {
+      errno = ETIMEDOUT;
+      return false;
+    }
+    if (errno != EINTR) {
+      return false;
+    }
+  }
+}
 
 }  // namespace
 
@@ -94,24 +118,10 @@ Result<std::unique_ptr<TcpTransport>> TcpTransport::Connect(
       return fail("connect to");
     }
     if (rc != 0) {
-      // Same EINTR-retry convention as Send/Recv, against the remaining
-      // budget so a signal storm cannot extend the bound.
-      auto deadline = std::chrono::steady_clock::now() +
-                      std::chrono::milliseconds(timeout_ms);
-      while (true) {
-        auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-            deadline - std::chrono::steady_clock::now());
-        int wait_ms = left.count() > 0 ? static_cast<int>(left.count()) : 0;
-        pollfd pfd{fd, POLLOUT, 0};
-        int ready = ::poll(&pfd, 1, wait_ms);
-        if (ready < 0 && errno == EINTR) {
-          continue;
-        }
-        if (ready <= 0) {
-          errno = ready == 0 ? ETIMEDOUT : errno;
-          return fail("connect to");
-        }
-        break;
+      if (!PollUntil(fd, POLLOUT,
+                     std::chrono::steady_clock::now() +
+                         std::chrono::milliseconds(timeout_ms))) {
+        return fail("connect to");
       }
       int err = 0;
       socklen_t len = sizeof(err);
@@ -195,7 +205,7 @@ Result<bool> TcpTransport::ExtractFrame(Bytes* out) {
                  (static_cast<uint32_t>(hdr[1]) << 16) |
                  (static_cast<uint32_t>(hdr[2]) << 8) |
                  static_cast<uint32_t>(hdr[3]);
-  if (len > kMaxFrame) {
+  if (len > max_frame_) {
     return DataLossError("oversized frame");
   }
   if (avail < 4 + static_cast<size_t>(len)) {
@@ -207,6 +217,8 @@ Result<bool> TcpTransport::ExtractFrame(Bytes* out) {
 }
 
 Result<Bytes> TcpTransport::Recv() {
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(recv_timeout_ms_);
   while (true) {
     int fd = fd_.load(std::memory_order_acquire);
     if (fd < 0) {
@@ -216,6 +228,12 @@ Result<Bytes> TcpTransport::Recv() {
     ASSIGN_OR_RETURN(bool have, ExtractFrame(&out));
     if (have) {
       return out;
+    }
+    if (recv_timeout_ms_ > 0 && !PollUntil(fd, POLLIN, deadline)) {
+      return errno == ETIMEDOUT
+                 ? DeadlineExceededError("recv timed out")
+                 : UnavailableError(StrPrintf("poll failed: %s",
+                                              strerror(errno)));
     }
     ASSIGN_OR_RETURN(bool appended, FillRecvBuffer(fd, /*nonblocking=*/false));
     (void)appended;  // blocking fill always appends or errors

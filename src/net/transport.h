@@ -78,6 +78,9 @@ class MsgStream {
 // TCP transport with u32 length-prefixed framing.
 class TcpTransport : public MsgStream {
  public:
+  // Default cap on a received frame, and the cap on a sent one.
+  static constexpr size_t kMaxFrame = 1 << 26;  // 64 MiB
+
   ~TcpTransport() override;
 
   // timeout_ms < 0 blocks until the kernel gives up (the classic
@@ -99,6 +102,13 @@ class TcpTransport : public MsgStream {
   Result<bool> SendNonBlocking(const Bytes& message) override;
   Result<bool> FlushSend() override;
 
+  // Caps received frames: a longer one fails Recv/TryRecv with DATA_LOSS
+  // as soon as its length header arrives, before its body is buffered.
+  void set_max_frame(size_t max_frame) { max_frame_ = max_frame; }
+  // Bounds each blocking Recv, from its call until a whole frame is in,
+  // failing with DEADLINE_EXCEEDED; 0 (the default) waits indefinitely.
+  void set_recv_timeout_ms(int timeout_ms) { recv_timeout_ms_ = timeout_ms; }
+
   // Takes ownership of a connected socket (used by the listener).
   explicit TcpTransport(int fd) : fd_(fd) {}
 
@@ -110,9 +120,12 @@ class TcpTransport : public MsgStream {
   Result<bool> ExtractFrame(Bytes* out);
 
   std::atomic<int> fd_{-1};
-  // Receive reassembly buffer (single receiving thread at a time).
+  // Receive reassembly buffer and limits (single receiving thread at a
+  // time).
   Bytes rbuf_;
   size_t rpos_ = 0;  // consumed prefix of rbuf_
+  size_t max_frame_ = kMaxFrame;
+  int recv_timeout_ms_ = 0;
   // Output not yet accepted by the kernel (single non-blocking sender).
   Bytes obuf_;
   size_t opos_ = 0;  // consumed prefix of obuf_

@@ -1,8 +1,8 @@
 #include "src/securechannel/channel.h"
 
 #include <cstring>
+#include <utility>
 
-#include "src/crypto/dh.h"
 #include "src/crypto/hmac.h"
 #include "src/crypto/sha.h"
 #include "src/wire/xdr.h"
@@ -38,68 +38,6 @@ void BuildNonce(uint64_t seq, uint8_t nonce[Aead::kNonceSize]) {
   }
 }
 
-struct Hello {
-  Bytes identity_key;  // serialized DsaPublicKey
-  Bytes dh_public;
-  Bytes nonce;
-};
-
-Bytes EncodeHello(const Hello& h) {
-  XdrWriter w;
-  w.PutOpaque(h.identity_key);
-  w.PutOpaque(h.dh_public);
-  w.PutOpaque(h.nonce);
-  return w.Take();
-}
-
-Result<Hello> DecodeHello(const Bytes& data) {
-  XdrReader r(data);
-  Hello h;
-  ASSIGN_OR_RETURN(h.identity_key, r.GetOpaque());
-  ASSIGN_OR_RETURN(h.dh_public, r.GetOpaque());
-  ASSIGN_OR_RETURN(h.nonce, r.GetOpaque());
-  if (!r.AtEnd()) {
-    return DataLossError("trailing bytes in hello");
-  }
-  if (h.nonce.size() != kNonceLen) {
-    return InvalidArgumentError("bad hello nonce length");
-  }
-  return h;
-}
-
-Bytes SignTranscript(const DsaPrivateKey& key, const Bytes& transcript) {
-  DsaSignature sig = key.Sign(Sha256::Hash(transcript));
-  return SerializeDsaSignature(sig, key.public_key().params());
-}
-
-Status VerifyTranscript(const DsaPublicKey& key, const Bytes& transcript,
-                        const Bytes& sig_bytes) {
-  ASSIGN_OR_RETURN(DsaSignature sig,
-                   DeserializeDsaSignature(sig_bytes, key.params()));
-  if (!key.Verify(Sha256::Hash(transcript), sig)) {
-    return UnauthenticatedError("handshake signature verification failed");
-  }
-  return OkStatus();
-}
-
-struct TrafficKeys {
-  Bytes client_to_server;
-  Bytes server_to_client;
-};
-
-TrafficKeys DeriveKeys(const Bytes& dh_secret, const Bytes& nonce_c,
-                       const Bytes& nonce_s) {
-  Bytes salt = nonce_c;
-  Append(salt, nonce_s);
-  Bytes prk = HkdfExtract(salt, dh_secret);
-  TrafficKeys keys;
-  keys.client_to_server =
-      HkdfExpand(prk, ToBytes(kKdfInfoClient), Aead::kKeySize);
-  keys.server_to_client =
-      HkdfExpand(prk, ToBytes(kKdfInfoServer), Aead::kKeySize);
-  return keys;
-}
-
 }  // namespace
 
 SecureChannel::SecureChannel(std::unique_ptr<MsgStream> transport,
@@ -113,128 +51,102 @@ SecureChannel::SecureChannel(std::unique_ptr<MsgStream> transport,
 Result<std::unique_ptr<SecureChannel>> SecureChannel::ClientHandshake(
     std::unique_ptr<MsgStream> transport, const ChannelIdentity& identity,
     const std::optional<DsaPublicKey>& expected_server) {
-  const DsaParams& group = identity.key.public_key().params();
-  DhKeyPair dh = DhKeyPair::Generate(group, identity.rand_bytes);
-
-  Hello client_hello{identity.key.public_key().Serialize(), dh.PublicValue(),
-                     identity.rand_bytes(kNonceLen)};
-  Bytes client_hello_bytes = EncodeHello(client_hello);
-  RETURN_IF_ERROR(transport->Send(client_hello_bytes));
-
-  ASSIGN_OR_RETURN(Bytes server_msg, transport->Recv());
-  // ServerHello = hello-body || signature (XDR opaques).
-  XdrReader r(server_msg);
-  ASSIGN_OR_RETURN(Bytes server_hello_bytes, r.GetOpaque());
-  ASSIGN_OR_RETURN(Bytes server_sig, r.GetOpaque());
-  if (!r.AtEnd()) {
-    return DataLossError("trailing bytes in server hello");
-  }
-  ASSIGN_OR_RETURN(Hello server_hello, DecodeHello(server_hello_bytes));
-  ASSIGN_OR_RETURN(DsaPublicKey server_key,
-                   DsaPublicKey::Deserialize(server_hello.identity_key));
-  if (expected_server.has_value() && !(server_key == *expected_server)) {
-    return UnauthenticatedError("server key does not match expected key");
-  }
-
-  Bytes transcript1 = client_hello_bytes;
-  Append(transcript1, server_hello_bytes);
-  RETURN_IF_ERROR(VerifyTranscript(server_key, transcript1, server_sig));
-
-  ASSIGN_OR_RETURN(Bytes secret, dh.SharedSecret(server_hello.dh_public));
-  TrafficKeys keys =
-      DeriveKeys(secret, client_hello.nonce, server_hello.nonce);
-
-  Bytes transcript2 = transcript1;
-  Append(transcript2, server_sig);
-  XdrWriter auth;
-  auth.PutOpaque(SignTranscript(identity.key, transcript2));
-  RETURN_IF_ERROR(transport->Send(auth.Take()));
-
-  return std::unique_ptr<SecureChannel>(new SecureChannel(
-      std::move(transport), std::move(keys.client_to_server),
-      std::move(keys.server_to_client), std::move(server_key)));
+  HandshakeMachine machine =
+      HandshakeMachine::Client(identity, expected_server);
+  RETURN_IF_ERROR(machine.Run(*transport));
+  return machine.Finish(std::move(transport));
 }
 
 Result<std::unique_ptr<SecureChannel>> SecureChannel::ServerHandshake(
     std::unique_ptr<MsgStream> transport, const ChannelIdentity& identity) {
-  // The blocking entry point is the sans-io machine plus a trivial driver;
-  // there is exactly one handshake implementation.
-  ServerHandshakeMachine machine(identity);
-  while (!machine.done()) {
-    ASSIGN_OR_RETURN(Bytes message, transport->Recv());
-    ASSIGN_OR_RETURN(ServerHandshakeMachine::Step step,
-                     machine.OnMessage(message));
-    if (!step.response.empty()) {
-      RETURN_IF_ERROR(transport->Send(step.response));
-    }
-  }
+  HandshakeMachine machine = HandshakeMachine::Server(identity);
+  RETURN_IF_ERROR(machine.Run(*transport));
   return machine.Finish(std::move(transport));
 }
 
-ServerHandshakeMachine::ServerHandshakeMachine(const ChannelIdentity& identity)
-    : identity_(identity) {}
-
-Result<ServerHandshakeMachine::Step> ServerHandshakeMachine::OnMessage(
-    const Bytes& message) {
-  switch (state_) {
-    case State::kAwaitClientHello: {
-      state_ = State::kFailed;  // restored on success below
-      ASSIGN_OR_RETURN(Hello client_hello, DecodeHello(message));
-      ASSIGN_OR_RETURN(DsaPublicKey client_key,
-                       DsaPublicKey::Deserialize(client_hello.identity_key));
-      const DsaParams& group = identity_.key.public_key().params();
-      if (!(client_key.params() == group)) {
-        return InvalidArgumentError("client uses a different DH group");
-      }
-      DhKeyPair dh = DhKeyPair::Generate(group, identity_.rand_bytes);
-
-      Hello server_hello{identity_.key.public_key().Serialize(),
-                         dh.PublicValue(), identity_.rand_bytes(kNonceLen)};
-      Bytes server_hello_bytes = EncodeHello(server_hello);
-
-      transcript1_ = message;
-      Append(transcript1_, server_hello_bytes);
-      server_sig_ = SignTranscript(identity_.key, transcript1_);
-
-      ASSIGN_OR_RETURN(Bytes secret, dh.SharedSecret(client_hello.dh_public));
-      TrafficKeys keys =
-          DeriveKeys(secret, client_hello.nonce, server_hello.nonce);
-      send_key_ = std::move(keys.server_to_client);
-      recv_key_ = std::move(keys.client_to_server);
-      client_key_ = std::move(client_key);
-
-      XdrWriter w;
-      w.PutOpaque(server_hello_bytes);
-      w.PutOpaque(server_sig_);
-      state_ = State::kAwaitClientAuth;
-      Step step;
-      step.response = w.Take();
-      return step;
-    }
-    case State::kAwaitClientAuth: {
-      state_ = State::kFailed;
-      XdrReader r(message);
-      ASSIGN_OR_RETURN(Bytes client_sig, r.GetOpaque());
-      if (!r.AtEnd()) {
-        return DataLossError("trailing bytes in client auth");
-      }
-      Bytes transcript2 = transcript1_;
-      Append(transcript2, server_sig_);
-      RETURN_IF_ERROR(VerifyTranscript(*client_key_, transcript2, client_sig));
-      state_ = State::kDone;
-      Step step;
-      step.done = true;
-      return step;
-    }
-    case State::kDone:
-      return FailedPreconditionError("handshake already complete");
-    case State::kFailed:
-      return FailedPreconditionError("handshake already failed");
-  }
-  return InternalError("bad handshake state");
+HandshakeMachine HandshakeMachine::Client(
+    const ChannelIdentity& identity,
+    std::optional<DsaPublicKey> expected_server) {
+  return HandshakeMachine(identity, /*client=*/true,
+                          std::move(expected_server));
 }
 
-Result<std::unique_ptr<SecureChannel>> ServerHandshakeMachine::Finish(
+HandshakeMachine HandshakeMachine::Server(const ChannelIdentity& identity) {
+  return HandshakeMachine(identity, /*client=*/false, std::nullopt);
+}
+
+Bytes HandshakeMachine::Start() {
+  if (state_ != State::kNew) {
+    return {};
+  }
+  state_ = State::kAwaitHello;
+  return client_ ? OwnHello() : Bytes();
+}
+
+Result<HandshakeMachine::Step> HandshakeMachine::OnMessage(
+    const Bytes& message) {
+  const State state = state_;
+  if (state != State::kAwaitHello && state != State::kAwaitAuth) {
+    return FailedPreconditionError(done() ? "handshake already complete"
+                                          : "handshake not in progress");
+  }
+  state_ = State::kFailed;  // restored on success below
+  Step step;
+  XdrReader r(message);
+  if (state == State::kAwaitAuth) {
+    // The server, on ClientAuth = { SIG_client(transcript_2) }.
+    ASSIGN_OR_RETURN(Bytes signature, r.GetOpaque());
+    if (!r.AtEnd()) {
+      return DataLossError("trailing bytes in client auth");
+    }
+    RETURN_IF_ERROR(VerifyTranscript(signature));
+  } else if (client_) {
+    // The client, on ServerHello = hello-body || signature (XDR opaques).
+    ASSIGN_OR_RETURN(Bytes hello, r.GetOpaque());
+    ASSIGN_OR_RETURN(Bytes signature, r.GetOpaque());
+    if (!r.AtEnd()) {
+      return DataLossError("trailing bytes in server hello");
+    }
+    ASSIGN_OR_RETURN(Bytes peer_dh, TakePeerHello(hello));
+    RETURN_IF_ERROR(VerifyTranscript(signature));
+    RETURN_IF_ERROR(DeriveKeys(peer_dh));
+    XdrWriter auth;
+    auth.PutOpaque(SignTranscript());
+    step.response = auth.Take();
+  } else {
+    // The server, on ClientHello.
+    ASSIGN_OR_RETURN(Bytes peer_dh, TakePeerHello(message));
+    Bytes hello = OwnHello();
+    Bytes signature = SignTranscript();
+    RETURN_IF_ERROR(DeriveKeys(peer_dh));
+    XdrWriter w;
+    w.PutOpaque(hello);
+    w.PutOpaque(signature);
+    step.response = w.Take();
+    state_ = State::kAwaitAuth;
+    return step;
+  }
+  state_ = State::kDone;
+  step.done = true;
+  return step;
+}
+
+Status HandshakeMachine::Run(MsgStream& transport) {
+  Bytes out = Start();
+  while (true) {
+    if (!out.empty()) {
+      RETURN_IF_ERROR(transport.Send(out));
+    }
+    if (done()) {
+      return OkStatus();
+    }
+    ASSIGN_OR_RETURN(Bytes message, transport.Recv());
+    ASSIGN_OR_RETURN(Step step, OnMessage(message));
+    out = std::move(step.response);
+  }
+}
+
+Result<std::unique_ptr<SecureChannel>> HandshakeMachine::Finish(
     std::unique_ptr<MsgStream> transport) {
   if (state_ != State::kDone) {
     return FailedPreconditionError("handshake not complete");
@@ -242,7 +154,79 @@ Result<std::unique_ptr<SecureChannel>> ServerHandshakeMachine::Finish(
   state_ = State::kFailed;  // keys are consumed; the machine is spent
   return std::unique_ptr<SecureChannel>(
       new SecureChannel(std::move(transport), std::move(send_key_),
-                        std::move(recv_key_), std::move(*client_key_)));
+                        std::move(recv_key_), std::move(*peer_key_)));
+}
+
+// { identity_key, dh, nonce }: draws this side's DH value, then its nonce.
+Bytes HandshakeMachine::OwnHello() {
+  const DsaPublicKey& key = identity_.key.public_key();
+  dh_ = DhKeyPair::Generate(key.params(), identity_.rand_bytes);
+  Bytes nonce = identity_.rand_bytes(kNonceLen);
+  Append(salt_, nonce);
+  XdrWriter w;
+  w.PutOpaque(key.Serialize());
+  w.PutOpaque(dh_->PublicValue());
+  w.PutOpaque(nonce);
+  Bytes hello = w.Take();
+  Append(transcript_, hello);
+  return hello;
+}
+
+// Both roles check the peer's hello alike: its encoding, the nonce
+// length, the key, and that the key is in our DH group; then the client
+// checks the key it pinned, if any.
+Result<Bytes> HandshakeMachine::TakePeerHello(const Bytes& hello) {
+  XdrReader r(hello);
+  ASSIGN_OR_RETURN(Bytes key_bytes, r.GetOpaque());
+  ASSIGN_OR_RETURN(Bytes peer_dh, r.GetOpaque());
+  ASSIGN_OR_RETURN(Bytes nonce, r.GetOpaque());
+  if (!r.AtEnd()) {
+    return DataLossError("trailing bytes in hello");
+  }
+  if (nonce.size() != kNonceLen) {
+    return InvalidArgumentError("bad hello nonce length");
+  }
+  ASSIGN_OR_RETURN(DsaPublicKey key, DsaPublicKey::Deserialize(key_bytes));
+  if (!(key.params() == identity_.key.public_key().params())) {
+    return InvalidArgumentError("peer uses a different DH group");
+  }
+  if (expected_server_.has_value() && !(key == *expected_server_)) {
+    return UnauthenticatedError("server key does not match expected key");
+  }
+  peer_key_ = std::move(key);
+  Append(salt_, nonce);
+  Append(transcript_, hello);
+  return peer_dh;
+}
+
+Bytes HandshakeMachine::SignTranscript() {
+  const DsaPrivateKey& key = identity_.key;
+  Bytes signature = SerializeDsaSignature(key.Sign(Sha256::Hash(transcript_)),
+                                          key.public_key().params());
+  Append(transcript_, signature);
+  return signature;
+}
+
+Status HandshakeMachine::VerifyTranscript(const Bytes& signature) {
+  ASSIGN_OR_RETURN(DsaSignature sig,
+                   DeserializeDsaSignature(signature, peer_key_->params()));
+  if (!peer_key_->Verify(Sha256::Hash(transcript_), sig)) {
+    return UnauthenticatedError("handshake signature verification failed");
+  }
+  Append(transcript_, signature);
+  return OkStatus();
+}
+
+// HKDF(salt = nonce_c || nonce_s, ikm = DH secret), one key per direction.
+Status HandshakeMachine::DeriveKeys(const Bytes& peer_dh) {
+  ASSIGN_OR_RETURN(Bytes secret, dh_->SharedSecret(peer_dh));
+  Bytes prk = HkdfExtract(salt_, secret);
+  send_key_ = HkdfExpand(prk, ToBytes(kKdfInfoClient), Aead::kKeySize);
+  recv_key_ = HkdfExpand(prk, ToBytes(kKdfInfoServer), Aead::kKeySize);
+  if (!client_) {
+    std::swap(send_key_, recv_key_);
+  }
+  return OkStatus();
 }
 
 Bytes SecureChannel::SealRecord(const Bytes& message) {

@@ -20,6 +20,10 @@
 // HKDF(salt = nonce_c || nonce_s, ikm = DH secret). Each direction has its
 // own key, which is what keeps the directions apart; a record's nonce is
 // its monotone sequence number alone, also authenticated as AAD.
+//
+// One sans-io HandshakeMachine implements both roles; the blocking
+// handshakes below, the coherence fabric's peer links and the host's
+// HandshakeReactor all drive it.
 #ifndef DISCFS_SRC_SECURECHANNEL_CHANNEL_H_
 #define DISCFS_SRC_SECURECHANNEL_CHANNEL_H_
 
@@ -29,6 +33,7 @@
 #include <optional>
 
 #include "src/crypto/aead.h"
+#include "src/crypto/dh.h"
 #include "src/crypto/dsa.h"
 #include "src/net/transport.h"
 #include "src/securechannel/replay_window.h"
@@ -43,16 +48,11 @@ struct ChannelIdentity {
 
 class SecureChannel : public MsgStream {
  public:
-  // Client side. If `expected_server` is set, the handshake fails unless the
-  // server proves possession of exactly that key (the SFS-style
-  // "self-certifying" check: the expected key typically comes from the
-  // mount/attach specification).
+  // Blocking handshakes: HandshakeMachine::Client or ::Server (see there
+  // for what each side checks), Run over `transport`, then Finish.
   static Result<std::unique_ptr<SecureChannel>> ClientHandshake(
       std::unique_ptr<MsgStream> transport, const ChannelIdentity& identity,
       const std::optional<DsaPublicKey>& expected_server);
-
-  // Server side: accepts any client key (DisCFS authorizes by credentials,
-  // not identity lists) and exposes it via peer_key().
   static Result<std::unique_ptr<SecureChannel>> ServerHandshake(
       std::unique_ptr<MsgStream> transport, const ChannelIdentity& identity);
 
@@ -81,7 +81,7 @@ class SecureChannel : public MsgStream {
   const DsaPublicKey& peer_key() const { return peer_key_; }
 
  private:
-  friend class ServerHandshakeMachine;
+  friend class HandshakeMachine;
 
   SecureChannel(std::unique_ptr<MsgStream> transport, Bytes send_key,
                 Bytes recv_key, DsaPublicKey peer_key);
@@ -106,50 +106,78 @@ class SecureChannel : public MsgStream {
   ReplayWindow recv_window_;  // guarded by recv_mu_
 };
 
-// Sans-io server side of the same 3-message handshake: one machine per
-// in-flight connection, driven a message at a time, so an event loop can
-// interleave hundreds of half-open handshakes without parking a thread
-// per connection (ServerHandshake blocks its caller twice; a slow or
-// malicious client would pin a pool worker for the whole exchange).
-//
-// Usage: feed each inbound handshake frame to OnMessage; write any
-// returned response back to the peer; once done(), call Finish with the
-// transport to obtain the established SecureChannel. The machine does no
-// I/O — readiness, timeouts and framing stay with the caller.
-class ServerHandshakeMachine {
+// The 3-message handshake for either role, sans-io: the machine does no
+// I/O, so a blocking driver (Run) and an event loop interleaving hundreds
+// of half-open handshakes run the same code. Send Start()'s message, if
+// any; feed each peer message to OnMessage and send back its response;
+// once done(), Finish binds the derived keys to a transport.
+class HandshakeMachine {
  public:
-  explicit ServerHandshakeMachine(const ChannelIdentity& identity);
+  // Cap on one handshake message; the largest genuine one, a 1024-bit
+  // ServerHello, is 624 bytes.
+  static constexpr size_t kMaxMessage = 16 * 1024;
+
+  // Both roles refuse a peer key outside their own DH group. The client
+  // also refuses any server key but `expected_server`, when set (the
+  // SFS-style "self-certifying" check, typically from the mount/attach
+  // specification); the server accepts any client key (DisCFS authorizes
+  // by credentials, not identity lists) and binds the channel to it.
+  static HandshakeMachine Client(const ChannelIdentity& identity,
+                                 std::optional<DsaPublicKey> expected_server);
+  static HandshakeMachine Server(const ChannelIdentity& identity);
+
+  // The opening message: the ClientHello, or empty for the server. Call
+  // once, before OnMessage.
+  Bytes Start();
 
   struct Step {
-    Bytes response;    // when non-empty, send to the peer
-    bool done = false; // when true, call Finish
+    Bytes response;     // when non-empty, send to the peer
+    bool done = false;  // when true, call Finish
   };
-
   // Advances the handshake with one peer message. CPU-heavy (DH exchange
   // plus a DSA sign or verify) — run on a worker, not the poller thread.
-  // Any error is terminal for this machine.
+  // Any error is terminal; a failed or done machine refuses further
+  // messages with FAILED_PRECONDITION.
   Result<Step> OnMessage(const Bytes& message);
-
   bool done() const { return state_ == State::kDone; }
 
-  // Binds the derived traffic keys to `transport`. Valid exactly once,
-  // after done(); the machine is consumed.
+  // Start, then Recv/OnMessage/Send until done. The transport stays the
+  // caller's, so another thread may Shutdown it meanwhile.
+  Status Run(MsgStream& transport);
+
+  // Binds the traffic keys to `transport`. Valid exactly once, after
+  // done(); the machine is consumed.
   Result<std::unique_ptr<SecureChannel>> Finish(
       std::unique_ptr<MsgStream> transport);
 
-  // The client identity authenticated by the handshake (set once done()).
-  const std::optional<DsaPublicKey>& client_key() const { return client_key_; }
-
  private:
-  enum class State { kAwaitClientHello, kAwaitClientAuth, kDone, kFailed };
+  enum class State { kNew, kAwaitHello, kAwaitAuth, kDone, kFailed };
+
+  HandshakeMachine(const ChannelIdentity& identity, bool client,
+                   std::optional<DsaPublicKey> expected_server)
+      : identity_(identity),
+        client_(client),
+        expected_server_(std::move(expected_server)) {}
+
+  Bytes OwnHello();
+  // Checks the peer's hello and returns its DH value.
+  Result<Bytes> TakePeerHello(const Bytes& hello);
+  Bytes SignTranscript();
+  Status VerifyTranscript(const Bytes& signature);
+  Status DeriveKeys(const Bytes& peer_dh);
 
   ChannelIdentity identity_;
-  State state_ = State::kAwaitClientHello;
-  Bytes transcript1_;
-  Bytes server_sig_;
-  Bytes send_key_;  // server -> client
-  Bytes recv_key_;  // client -> server
-  std::optional<DsaPublicKey> client_key_;
+  bool client_;
+  std::optional<DsaPublicKey> expected_server_;
+  State state_ = State::kNew;
+  // Every hello and signature so far, in wire order; each signature
+  // covers all that precedes it.
+  Bytes transcript_;
+  Bytes salt_;  // nonce_c || nonce_s, gathered in wire order
+  std::optional<DhKeyPair> dh_;
+  std::optional<DsaPublicKey> peer_key_;
+  Bytes send_key_;
+  Bytes recv_key_;
 };
 
 }  // namespace discfs

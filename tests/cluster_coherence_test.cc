@@ -14,6 +14,7 @@
 #include "src/crypto/groups.h"
 #include "src/discfs/client.h"
 #include "src/discfs/host.h"
+#include "src/net/event_loop.h"
 #include "src/ffs/ffs.h"
 #include "src/net/transport.h"
 #include "src/rpc/rpc.h"
@@ -382,6 +383,65 @@ TEST(CoherenceFabric, CompactedLogFallsBackToInvalidateAll) {
   b.host->server().EffectiveMask(bystander, 1);
   EXPECT_EQ(b.host->server().counters().keynote_queries.load(),
             queries_before + 1);
+}
+
+bool WaitFor(const std::function<bool()>& cond,
+             std::chrono::milliseconds limit) {
+  auto deadline = std::chrono::steady_clock::now() + limit;
+  while (std::chrono::steady_clock::now() < deadline) {
+    if (cond()) {
+      return true;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  return cond();
+}
+
+// Returns how long destroying `fabric` took.
+std::chrono::steady_clock::duration TimedDestroy(
+    std::unique_ptr<cluster::CoherenceFabric> fabric) {
+  auto start = std::chrono::steady_clock::now();
+  fabric.reset();
+  return std::chrono::steady_clock::now() - start;
+}
+
+// A peer that completes the TCP connect but never answers the handshake
+// (as one that died without an RST would) cannot hold the link:
+// call_timeout bounds the handshake as it bounds every RPC, so the sender
+// keeps failing and retrying. And stopping the fabric cuts a handshake
+// short that call_timeout would not yet have ended.
+TEST(CoherenceFabric, SilentPeerCannotHoldTheLinkInItsHandshake) {
+  using std::chrono::milliseconds;
+  EventLoop loop;
+  cluster::FabricConfig config;
+  config.node_id = "sender";
+  config.loop = &loop;
+  config.identity = ChannelIdentity{
+      DsaPrivateKey::Generate(Dsa512(), TestRand(1)), TestRand(2)};
+  config.tuning.connect_timeout = milliseconds(200);
+  config.tuning.call_timeout = milliseconds(200);
+
+  // Neither listener ever accepts; the kernel completes the connects.
+  auto silent = TcpListener::Listen(0);
+  ASSERT_TRUE(silent.ok()) << silent.status();
+  auto fabric = std::make_unique<cluster::CoherenceFabric>(config);
+  fabric->AddPeer({"127.0.0.1", (*silent)->port(), std::nullopt});
+  EXPECT_TRUE(WaitFor(
+      [&] { return fabric->stats().peers[0].connect_failures >= 2; },
+      milliseconds(2000)))
+      << "the handshake with a silent peer never timed out";
+  EXPECT_EQ(fabric->stats().peers[0].connects, 0u);
+  EXPECT_LT(TimedDestroy(std::move(fabric)), milliseconds(1000));
+
+  auto mute = TcpListener::Listen(0);
+  ASSERT_TRUE(mute.ok()) << mute.status();
+  config.tuning.call_timeout = milliseconds(60000);
+  fabric = std::make_unique<cluster::CoherenceFabric>(config);
+  fabric->AddPeer({"127.0.0.1", (*mute)->port(), std::nullopt});
+  auto accepted = (*mute)->Accept();
+  ASSERT_TRUE(accepted.ok()) << accepted.status();
+  ASSERT_TRUE((*accepted)->Recv().ok());  // the ClientHello; no answer
+  EXPECT_LT(TimedDestroy(std::move(fabric)), milliseconds(1000));
 }
 
 TEST(CoherenceFabric, UntrustedPeerCannotPush) {

@@ -3,6 +3,7 @@
 // expired work at dequeue), and handshake hardening (a slowloris flood of
 // half-open connections cannot pin workers and is reaped by timeout).
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include <atomic>
 #include <chrono>
@@ -347,6 +348,46 @@ TEST(Overload, SlowlorisFloodCannotPinWorkersAndIsReaped) {
   ASSERT_TRUE(again.ok()) << again.status();
   EXPECT_TRUE((*again)->ServerInfo().ok());
   (*again)->Close();
+}
+
+// A peer that has not authenticated cannot make the host buffer a large
+// frame: one that declares more than any handshake message fails the
+// handshake from its length header, long before the handshake timeout.
+TEST(Overload, OversizedHandshakeFrameFailsFromItsHeader) {
+  DsaPrivateKey server_key = DsaPrivateKey::Generate(Dsa512(), TestRand(1));
+  DiscfsServerConfig config;
+  config.server_key = server_key;
+  config.rand_bytes = TestRand(3);
+  DiscfsHostOptions host_options;
+  host_options.worker_threads = 2;
+  host_options.handshake_timeout_ms = 30'000;  // reaping plays no part here
+  auto host = DiscfsHost::Start(MakeVfs(), std::move(config), 0,
+                                host_options);
+  ASSERT_TRUE(host.ok()) << host.status();
+
+  auto conn = TcpTransport::Connect("127.0.0.1", (*host)->port());
+  ASSERT_TRUE(conn.ok()) << conn.status();
+  ASSERT_TRUE(WaitFor([&] {
+    return (*host)->handshake_stats().half_open == 1;
+  }));
+  const uint64_t failed = (*host)->handshake_stats().failed;
+
+  // A 1 MiB "ClientHello", of which the first 64 KiB arrive. The host may
+  // drop the connection before all of them are sent.
+  constexpr uint32_t kDeclared = 1u << 20;
+  Bytes partial(4 + 64 * 1024, 0x5A);
+  for (size_t k = 0; k < 4; ++k) {
+    partial[k] = static_cast<uint8_t>(kDeclared >> (8 * (3 - k)));
+  }
+  (void)::send((*conn)->PollFd(), partial.data(), partial.size(),
+               MSG_NOSIGNAL);
+  EXPECT_TRUE(WaitFor(
+      [&] {
+        HandshakeReactor::Stats stats = (*host)->handshake_stats();
+        return stats.failed == failed + 1 && stats.half_open == 0;
+      },
+      1s))
+      << "the oversized frame held its half-open handshake";
 }
 
 // At the half-open cap the oldest handshake is evicted in favor of the new

@@ -211,6 +211,151 @@ TEST(ChannelSecurity, PlaintextNeverOnWire) {
   }
 }
 
+// ----- hostile handshake input -----
+
+// Each way a peer could mangle one handshake message: every truncation, a
+// one-bit flip at every byte, each 4-byte word set to 0, to 0xFFFFFFFF and
+// to its value plus and minus one, and 1 to 4 trailing bytes.
+std::vector<Bytes> Mutants(const Bytes& message) {
+  std::vector<Bytes> out;
+  for (size_t n = 0; n < message.size(); ++n) {
+    out.emplace_back(message.begin(), message.begin() + n);
+  }
+  for (size_t i = 0; i < message.size(); ++i) {
+    out.push_back(message);
+    out.back()[i] ^= static_cast<uint8_t>(1u << (i % 8));
+  }
+  for (size_t i = 0; i + 4 <= message.size(); i += 4) {
+    uint32_t v = 0;
+    for (size_t k = 0; k < 4; ++k) {
+      v = (v << 8) | message[i + k];
+    }
+    for (uint32_t w : {0u, 0xFFFFFFFFu, v + 1, v - 1}) {
+      if (w == v) {
+        continue;
+      }
+      out.push_back(message);
+      for (size_t k = 0; k < 4; ++k) {
+        out.back()[i + k] = static_cast<uint8_t>(w >> (8 * (3 - k)));
+      }
+    }
+  }
+  for (size_t n = 1; n <= 4; ++n) {
+    out.push_back(message);
+    out.back().resize(message.size() + n, 0xA5);
+  }
+  return out;
+}
+
+// The ClientHello bytes the server cannot check before ClientAuth: the
+// client key's y (any value decodes; only the signature proves it), the
+// nonce (any 16 bytes) and XDR pad. The transcript covers all of them.
+std::vector<bool> UncheckedInClientHello(const Bytes& hello) {
+  std::vector<bool> unchecked(hello.size(), false);
+  auto u32 = [&hello](size_t at) {
+    return (uint32_t{hello[at]} << 24) | (uint32_t{hello[at + 1]} << 16) |
+           (uint32_t{hello[at + 2]} << 8) | uint32_t{hello[at + 3]};
+  };
+  auto mark = [&unchecked](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      unchecked[i] = true;
+    }
+  };
+  size_t at = 0;
+  for (int field = 0; field < 3; ++field) {  // key, DH value, nonce
+    const size_t len = u32(at);
+    const size_t data = at + 4;
+    if (field == 0) {
+      size_t y = data;
+      for (int part = 0; part < 3; ++part) {  // p, q, g
+        y += 4 + u32(y);
+      }
+      mark(y + 4, data + len);
+    } else if (field == 2) {
+      mark(data, data + len);
+    }
+    at = data + len + (4 - len % 4) % 4;
+    mark(data + len, at);
+  }
+  return unchecked;
+}
+
+bool ChangedOnlyWhere(const Bytes& genuine, const Bytes& mutant,
+                      const std::vector<bool>& allowed) {
+  if (mutant.size() != genuine.size()) {
+    return false;
+  }
+  for (size_t i = 0; i < genuine.size(); ++i) {
+    if (mutant[i] != genuine[i] && !allowed[i]) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Every mutant of each of the three messages fails the machine that takes
+// it, and a failed machine refuses the genuine message that follows. The
+// one exception is a ClientHello changed only where the server cannot yet
+// check it: the server answers, and the genuine ClientAuth, signed over
+// the real hello, then fails.
+TEST(HandshakeSecurity, MutatedMessagesFailTheMachine) {
+  DsaPrivateKey server_key = DsaPrivateKey::Generate(Dsa512(), TestRand(1));
+  DsaPrivateKey client_key = DsaPrivateKey::Generate(Dsa512(), TestRand(2));
+  HandshakeMachine client = HandshakeMachine::Client(
+      ChannelIdentity{client_key, TestRand(10)}, std::nullopt);
+  HandshakeMachine server =
+      HandshakeMachine::Server(ChannelIdentity{server_key, TestRand(11)});
+  server.Start();
+  const Bytes client_hello = client.Start();
+  const HandshakeMachine awaiting_client_hello = server;
+  const HandshakeMachine awaiting_server_hello = client;
+  auto server_hello = server.OnMessage(client_hello);
+  ASSERT_TRUE(server_hello.ok()) << server_hello.status();
+  const HandshakeMachine awaiting_client_auth = server;
+  auto client_auth = client.OnMessage(server_hello->response);
+  ASSERT_TRUE(client_auth.ok()) << client_auth.status();
+  ASSERT_TRUE(server.OnMessage(client_auth->response).ok());
+
+  const std::vector<bool> unchecked = UncheckedInClientHello(client_hello);
+  size_t answered = 0;
+  size_t i = 0;
+  for (const Bytes& mutant : Mutants(client_hello)) {
+    HandshakeMachine machine = awaiting_client_hello;
+    if (machine.OnMessage(mutant).ok()) {
+      ++answered;
+      EXPECT_TRUE(ChangedOnlyWhere(client_hello, mutant, unchecked))
+          << "ClientHello mutant " << i << " was answered";
+      EXPECT_FALSE(machine.OnMessage(client_auth->response).ok())
+          << "ClientHello mutant " << i << " completed the handshake";
+    }
+    EXPECT_EQ(machine.OnMessage(client_hello).status().code(),
+              StatusCode::kFailedPrecondition)
+        << "ClientHello mutant " << i;
+    ++i;
+  }
+  EXPECT_GT(answered, 0u);  // the nonce alone yields some
+
+  i = 0;
+  for (const Bytes& mutant : Mutants(server_hello->response)) {
+    HandshakeMachine machine = awaiting_server_hello;
+    EXPECT_FALSE(machine.OnMessage(mutant).ok()) << "ServerHello mutant " << i;
+    EXPECT_EQ(machine.OnMessage(server_hello->response).status().code(),
+              StatusCode::kFailedPrecondition)
+        << "ServerHello mutant " << i;
+    ++i;
+  }
+
+  i = 0;
+  for (const Bytes& mutant : Mutants(client_auth->response)) {
+    HandshakeMachine machine = awaiting_client_auth;
+    EXPECT_FALSE(machine.OnMessage(mutant).ok()) << "ClientAuth mutant " << i;
+    EXPECT_EQ(machine.OnMessage(client_auth->response).status().code(),
+              StatusCode::kFailedPrecondition)
+        << "ClientAuth mutant " << i;
+    ++i;
+  }
+}
+
 // A client whose requests claim someone else's identity cannot: the key is
 // bound by the handshake, not by anything inside the RPC payload.
 TEST(DiscfsSecurity, IdentityComesFromChannelNotPayload) {

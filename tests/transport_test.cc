@@ -338,6 +338,106 @@ TEST_F(SecureChannelTest, ManyMessagesBothDirections) {
   }
 }
 
+// The machine alone, both roles wired to each other with no transport;
+// only Finish binds the keys to one.
+TEST_F(SecureChannelTest, MachinesHandshakeWithoutATransport) {
+  HandshakeMachine client = HandshakeMachine::Client(
+      ChannelIdentity{client_key_, TestRand(10)}, server_key_.public_key());
+  HandshakeMachine server =
+      HandshakeMachine::Server(ChannelIdentity{server_key_, TestRand(11)});
+  EXPECT_TRUE(server.Start().empty());
+  Bytes client_hello = client.Start();
+  ASSERT_FALSE(client_hello.empty());
+  EXPECT_LE(client_hello.size(), HandshakeMachine::kMaxMessage);
+
+  auto server_hello = server.OnMessage(client_hello);
+  ASSERT_TRUE(server_hello.ok()) << server_hello.status();
+  EXPECT_FALSE(server_hello->done);
+  EXPECT_FALSE(server.done());
+  EXPECT_LE(server_hello->response.size(), HandshakeMachine::kMaxMessage);
+  auto client_auth = client.OnMessage(server_hello->response);
+  ASSERT_TRUE(client_auth.ok()) << client_auth.status();
+  EXPECT_TRUE(client_auth->done);
+  EXPECT_TRUE(client.done());
+  auto last = server.OnMessage(client_auth->response);
+  ASSERT_TRUE(last.ok()) << last.status();
+  EXPECT_TRUE(last->done);
+  EXPECT_TRUE(last->response.empty());
+  EXPECT_TRUE(server.done());
+
+  // A finished handshake takes no more messages.
+  EXPECT_EQ(client.OnMessage(server_hello->response).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(server.OnMessage(client_auth->response).status().code(),
+            StatusCode::kFailedPrecondition);
+
+  auto transports = InProcTransport::CreatePair();
+  auto client_chan = client.Finish(std::move(transports.a));
+  auto server_chan = server.Finish(std::move(transports.b));
+  ASSERT_TRUE(client_chan.ok()) << client_chan.status();
+  ASSERT_TRUE(server_chan.ok()) << server_chan.status();
+  EXPECT_EQ((*client_chan)->peer_key(), server_key_.public_key());
+  EXPECT_EQ((*server_chan)->peer_key(), client_key_.public_key());
+  ASSERT_TRUE((*client_chan)->Send(ToBytes("to server")).ok());
+  EXPECT_EQ(ToString((*server_chan)->Recv().value()), "to server");
+  ASSERT_TRUE((*server_chan)->Send(ToBytes("to client")).ok());
+  EXPECT_EQ(ToString((*client_chan)->Recv().value()), "to client");
+
+  // The keys were consumed: a second Finish is refused.
+  EXPECT_EQ(client.Finish(nullptr).status().code(),
+            StatusCode::kFailedPrecondition);
+}
+
+TEST_F(SecureChannelTest, MachineRefusesOutOfTurnUse) {
+  HandshakeMachine server =
+      HandshakeMachine::Server(ChannelIdentity{server_key_, TestRand(11)});
+  HandshakeMachine client = HandshakeMachine::Client(
+      ChannelIdentity{client_key_, TestRand(10)}, std::nullopt);
+  // Finish before done, and a message before Start.
+  EXPECT_EQ(server.Finish(nullptr).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(client.OnMessage(Bytes(8)).status().code(),
+            StatusCode::kFailedPrecondition);
+  // One bad message fails the machine for good: the genuine hello that
+  // follows is refused without being looked at.
+  server.Start();
+  Bytes client_hello = client.Start();
+  EXPECT_FALSE(server.OnMessage(Bytes(8)).ok());
+  EXPECT_EQ(server.OnMessage(client_hello).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(server.Finish(nullptr).status().code(),
+            StatusCode::kFailedPrecondition);
+}
+
+// Both roles check that the peer's key is in their own DH group; the
+// client checks before it verifies the server's signature.
+TEST_F(SecureChannelTest, ClientRefusesServerKeyFromAnotherGroup) {
+  DsaPrivateKey big_server = DsaPrivateKey::Generate(Dsa1024(), TestRand(3));
+  DsaPrivateKey big_client = DsaPrivateKey::Generate(Dsa1024(), TestRand(4));
+  HandshakeMachine other_server =
+      HandshakeMachine::Server(ChannelIdentity{big_server, TestRand(11)});
+  HandshakeMachine other_client = HandshakeMachine::Client(
+      ChannelIdentity{big_client, TestRand(10)}, std::nullopt);
+  other_server.Start();
+  const Bytes big_hello = other_client.Start();
+  auto server_hello = other_server.OnMessage(big_hello);
+  ASSERT_TRUE(server_hello.ok()) << server_hello.status();
+
+  HandshakeMachine client = HandshakeMachine::Client(
+      ChannelIdentity{client_key_, TestRand(10)}, std::nullopt);
+  client.Start();
+  auto refused = client.OnMessage(server_hello->response);
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument)
+      << refused.status();
+
+  // And the server refuses a client hello from the other group.
+  HandshakeMachine server =
+      HandshakeMachine::Server(ChannelIdentity{server_key_, TestRand(11)});
+  server.Start();
+  EXPECT_EQ(server.OnMessage(big_hello).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 // One message through the event-loop face: SendNonBlocking on `from`,
 // readiness on `to`'s fd, then TryRecv until drained.
 void ExpectNonBlockingRoundTrip(MsgStream& from, MsgStream& to,

@@ -36,16 +36,18 @@ command -v c++ >/dev/null 2>&1 || command -v g++ >/dev/null 2>&1 ||
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 build_dir="$repo_root/build-tsan"
-test_regex="${1:-transport_test|rpc_pipeline_test|event_loop_test|discfs_multiserver_test|security_test|cluster_coherence_test|cluster_recovery_test|admission_test|fault_smoke|block_cache_test|nfs_test|lockbox_test|obs_test|overload_test|policy_scaling_test}"
+# The ctest entries run by default. Each is built by the target of the
+# same name, except fault_smoke, which runs the fault_harness binary.
+tests=(transport_test rpc_pipeline_test event_loop_test
+  discfs_multiserver_test security_test cluster_coherence_test
+  cluster_recovery_test admission_test fault_smoke block_cache_test
+  nfs_test lockbox_test obs_test overload_test policy_scaling_test)
+targets=("${tests[@]/#fault_smoke/fault_harness}")
+test_regex="${1:-$(IFS='|'; echo "${tests[*]}")}"
 
 cmake -B "$build_dir" -S "$repo_root" -DDISCFS_SANITIZE=thread \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build "$build_dir" -j "$(nproc)" \
-  --target transport_test rpc_pipeline_test event_loop_test \
-  discfs_multiserver_test security_test cluster_coherence_test \
-  cluster_recovery_test admission_test fault_harness \
-  block_cache_test nfs_test lockbox_test obs_test overload_test \
-  policy_scaling_test
+cmake --build "$build_dir" -j "$(nproc)" --target "${targets[@]}"
 
 cd "$build_dir"
 TSAN_OPTIONS="halt_on_error=1" ctest --output-on-failure -R "$test_regex"
