@@ -16,8 +16,8 @@
 //      latency measured from each request's *scheduled* send time (no
 //      coordinated omission), with a concurrent control-plane driver
 //      submitting fresh credentials throughout. The server sheds data
-//      reads at the low watermark while control work rides to the hard
-//      admission limit — so control sheds must stay zero even at 2x.
+//      reads at a quarter of its admission limit while control work rides
+//      to the limit itself — so control sheds must stay zero even at 2x.
 //   2. Deadline phase: a raw-frame client (no local reaper, so late
 //      replies are observable) bursts reads carrying a v2 deadline trailer
 //      at a single-worker host until queue wait far exceeds the deadline;
@@ -77,11 +77,10 @@ constexpr uint32_t kLoadDeadlineMs = 2000;  // liveness bound, not a gate
 constexpr double kControlIntervalS = 0.02;  // 50 control-plane ops/s
 
 // Server shape: few workers so saturation is reachable from one process,
-// watermarks well above the closed-loop backlog (drivers * inflight) so
-// the saturation measurement itself never sheds.
+// and an admission limit whose derived shed watermarks (data at 48,
+// namespace at 96) sit well above the closed-loop backlog (drivers *
+// inflight), so the saturation measurement itself never sheds.
 constexpr size_t kWorkerThreads = 2;
-constexpr size_t kShedDataWatermark = 48;
-constexpr size_t kShedNamespaceWatermark = 96;
 constexpr size_t kAdmissionLimit = 192;
 
 // Wide enough that intake of the whole flood (an accept-thread scan that
@@ -124,11 +123,11 @@ struct Env {
   DsaPrivateKey admin;
   DsaPrivateKey server_key;
   DsaPrivateKey reader;
-  std::vector<DsaPrivateKey> intermediaries;
-  std::shared_ptr<FfsVfs> vfs;
-  std::unique_ptr<DiscfsHost> host;
-  std::unique_ptr<DiscfsClient> owner;
-  std::vector<NfsFh> files;
+  std::vector<DsaPrivateKey> intermediaries = {};
+  std::shared_ptr<FfsVfs> vfs = nullptr;
+  std::unique_ptr<DiscfsHost> host = nullptr;
+  std::unique_ptr<DiscfsClient> owner = nullptr;
+  std::vector<NfsFh> files = {};
 };
 
 Env StartEnv() {
@@ -158,8 +157,6 @@ Env StartEnv() {
   options.max_inflight_per_conn = 256;
   options.send_queue_limit = 256;
   options.admission_queue_limit = kAdmissionLimit;
-  options.shed_data_watermark = kShedDataWatermark;
-  options.shed_namespace_watermark = kShedNamespaceWatermark;
   options.handshake_timeout_ms = kHandshakeTimeoutMs;
   options.max_half_open_handshakes = kMaxHalfOpen;
   auto host = DiscfsHost::Start(env.vfs, std::move(config), /*port=*/0,

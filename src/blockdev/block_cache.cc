@@ -10,14 +10,8 @@
 namespace discfs {
 namespace {
 
-// Doubles the shard count while each shard keeps at least 64 blocks, up
-// to 16 shards; one shard below 128 blocks. (The signature and policy
-// caches use a different rule: FloorPow2(capacity / 32), at most 16.)
-size_t DeriveShards(size_t capacity_blocks) {
-  size_t shards = 1;
-  while (shards < 16 && capacity_blocks / (shards * 2) >= 64) shards *= 2;
-  return shards;
-}
+// Blocks per shard, at least.
+constexpr size_t kMinPerShard = 64;
 
 }  // namespace
 
@@ -25,9 +19,9 @@ BlockCache::BlockCache(std::shared_ptr<BlockDevice> base,
                        BlockCacheOptions opts)
     : base_(std::move(base)), opts_(opts), block_size_(base_->block_size()) {
   if (opts_.capacity_blocks < 8) opts_.capacity_blocks = 8;
-  size_t shards = DeriveShards(opts_.capacity_blocks);
+  size_t shards = ShardCount(opts_.capacity_blocks, kMinPerShard);
   shard_mask_ = shards - 1;
-  shard_capacity_ = std::max<size_t>(4, opts_.capacity_blocks / shards);
+  shard_capacity_ = opts_.capacity_blocks / shards;
   shards_.reserve(shards);
   for (size_t i = 0; i < shards; ++i) {
     shards_.push_back(std::make_unique<Shard>());
@@ -52,12 +46,6 @@ BlockCache::~BlockCache() {
   }
 }
 
-void BlockCache::TouchLocked(Shard& shard, uint64_t block, Entry& entry) {
-  shard.lru.erase(entry.lru_it);
-  shard.lru.push_front(block);
-  entry.lru_it = shard.lru.begin();
-}
-
 Status BlockCache::WritebackLocked(uint64_t block, Entry& entry) {
   Status st = base_->Write(block, entry.data.data());
   if (!st.ok()) {
@@ -70,17 +58,12 @@ Status BlockCache::WritebackLocked(uint64_t block, Entry& entry) {
 }
 
 Status BlockCache::EvictIfFullLocked(Shard& shard) {
-  while (shard.map.size() >= shard_capacity_) {
-    uint64_t victim = shard.lru.back();
-    auto it = shard.map.find(victim);
-    if (it->second.dirty) {
-      Status st = WritebackLocked(victim, it->second);
-      if (!st.ok()) {
-        return st;
-      }
+  while (shard.lru.size() >= shard_capacity_) {
+    auto& [victim, entry] = shard.lru.Coldest();
+    if (entry.dirty) {
+      RETURN_IF_ERROR(WritebackLocked(victim, entry));
     }
-    shard.lru.pop_back();
-    shard.map.erase(it);
+    shard.lru.PopColdest();
     cache_stats_.evictions.fetch_add(1, std::memory_order_relaxed);
   }
   return OkStatus();
@@ -88,30 +71,18 @@ Status BlockCache::EvictIfFullLocked(Shard& shard) {
 
 Status BlockCache::GetEntryLocked(Shard& shard, uint64_t block,
                                   bool fill_from_device, Entry** out) {
-  auto it = shard.map.find(block);
-  if (it != shard.map.end()) {
+  if (Entry* hit = shard.lru.Find(block)) {
     cache_stats_.hits.fetch_add(1, std::memory_order_relaxed);
-    TouchLocked(shard, block, it->second);
-    *out = &it->second;
+    *out = hit;
     return OkStatus();
   }
   cache_stats_.misses.fetch_add(1, std::memory_order_relaxed);
-  Status st = EvictIfFullLocked(shard);
-  if (!st.ok()) {
-    return st;
-  }
-  Entry& entry = shard.map[block];
-  entry.data.resize(block_size_);
+  RETURN_IF_ERROR(EvictIfFullLocked(shard));
+  std::vector<uint8_t> data(block_size_);
   if (fill_from_device) {
-    st = base_->Read(block, entry.data.data());
-    if (!st.ok()) {
-      shard.map.erase(block);
-      return st;
-    }
+    RETURN_IF_ERROR(base_->Read(block, data.data()));
   }
-  shard.lru.push_front(block);
-  entry.lru_it = shard.lru.begin();
-  *out = &entry;
+  *out = &shard.lru.Insert(block, Entry{std::move(data)});
   return OkStatus();
 }
 
@@ -184,19 +155,24 @@ Status BlockCache::Modify(uint64_t block,
   return OkStatus();
 }
 
-Status BlockCache::Sync() {
+Status BlockCache::WriteBackAll() {
   for (auto& shard_ptr : shards_) {
     Shard& shard = *shard_ptr;
     std::lock_guard<std::mutex> lock(shard.mu);
-    for (auto& [block, entry] : shard.map) {
-      if (entry.dirty) {
-        Status st = WritebackLocked(block, entry);
-        if (!st.ok()) {
-          return st;
-        }
+    Status st;
+    shard.lru.ForEachColdestFirst([&](uint64_t block, Entry& entry) {
+      if (st.ok() && entry.dirty) {
+        st = WritebackLocked(block, entry);
       }
-    }
+      return false;
+    });
+    RETURN_IF_ERROR(st);
   }
+  return OkStatus();
+}
+
+Status BlockCache::Sync() {
+  RETURN_IF_ERROR(WriteBackAll());
   cache_stats_.sync_flushes.fetch_add(1, std::memory_order_relaxed);
   return OkStatus();
 }
@@ -206,17 +182,10 @@ size_t BlockCache::DropDirty() {
   for (auto& shard_ptr : shards_) {
     Shard& shard = *shard_ptr;
     std::lock_guard<std::mutex> lock(shard.mu);
-    for (auto it = shard.map.begin(); it != shard.map.end();) {
-      if (it->second.dirty) {
-        shard.lru.erase(it->second.lru_it);
-        it = shard.map.erase(it);
-        dirty_count_.fetch_sub(1, std::memory_order_relaxed);
-        ++dropped;
-      } else {
-        ++it;
-      }
-    }
+    dropped += shard.lru.ForEachColdestFirst(
+        [](uint64_t, const Entry& entry) { return entry.dirty; });
   }
+  dirty_count_.fetch_sub(dropped, std::memory_order_relaxed);
   cache_stats_.dropped_dirty.fetch_add(dropped, std::memory_order_relaxed);
   return dropped;
 }
@@ -226,7 +195,7 @@ size_t BlockCache::cached_blocks() const {
   for (auto& shard_ptr : shards_) {
     Shard& shard = *shard_ptr;
     std::lock_guard<std::mutex> lock(shard.mu);
-    total += shard.map.size();
+    total += shard.lru.size();
   }
   return total;
 }
@@ -258,35 +227,6 @@ void BlockCache::RegisterMetrics(obs::MetricsRegistry* registry) {
                           });
 }
 
-Status BlockCache::FlushSome(size_t max_blocks, uint64_t* flushed) {
-  uint64_t done = 0;
-  for (auto& shard_ptr : shards_) {
-    Shard& shard = *shard_ptr;
-    std::lock_guard<std::mutex> lock(shard.mu);
-    // Flush least-recently-used dirty blocks first: hot blocks likely
-    // get dirtied again, so flushing them early wastes device writes.
-    for (auto it = shard.lru.rbegin();
-         it != shard.lru.rend() && done < max_blocks; ++it) {
-      auto& entry = shard.map.at(*it);
-      if (!entry.dirty) {
-        continue;
-      }
-      Status st = WritebackLocked(*it, entry);
-      if (!st.ok()) {
-        return st;
-      }
-      ++done;
-    }
-    if (done >= max_blocks) {
-      break;
-    }
-  }
-  if (flushed != nullptr) {
-    *flushed = done;
-  }
-  return OkStatus();
-}
-
 void BlockCache::FlusherMain() {
   std::unique_lock<std::mutex> lock(flusher_mu_);
   while (!stop_flusher_) {
@@ -305,7 +245,7 @@ void BlockCache::FlusherMain() {
       return;
     }
     lock.unlock();
-    (void)FlushSome(~0ULL, nullptr);
+    (void)WriteBackAll();
     lock.lock();
   }
 }

@@ -1,12 +1,11 @@
 // Sharded write-back block cache.
 //
-// Sits between Ffs and a backing BlockDevice. Same shard idiom as
-// PolicyCache / VerifiedSignatureCache: N independent shards, each a
-// mutex + LRU list + hash map, so unrelated blocks never contend.
-// Consecutive blocks map to the same shard in groups of 8 so a
-// sequential scan stays on one shard lock for 8 blocks at a time. A
-// read takes only its own shard's lock, and a miss reads exactly the
-// block asked for.
+// Sits between Ffs and a backing BlockDevice. N = ShardCount(capacity,
+// 64) independent shards, each a mutex around an Lru (src/util/lru.h),
+// so unrelated blocks never contend. Consecutive blocks map to the same
+// shard in groups of 8 so a sequential scan stays on one shard lock for
+// 8 blocks at a time. A read takes only its own shard's lock, and a miss
+// reads exactly the block asked for.
 //
 // Write policy is write-back: Write()/Modify() dirty the cached copy
 // without touching the device. Dirty blocks reach the device via
@@ -33,14 +32,13 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "src/blockdev/blockdev.h"
+#include "src/util/lru.h"
 #include "src/util/status.h"
 
 namespace discfs {
@@ -50,8 +48,8 @@ class MetricsRegistry;
 }  // namespace obs
 
 struct BlockCacheOptions {
-  // Total cached blocks across all shards. The shard count follows from
-  // it: ~64 blocks per shard, a power of two, at most 16.
+  // Total cached blocks across all shards, at least 8. The shard count
+  // follows from it: ShardCount(capacity_blocks, 64).
   size_t capacity_blocks = 1024;
   // Flusher wakes when this many blocks are dirty. 0 = capacity/4.
   size_t flush_watermark = 0;
@@ -121,13 +119,10 @@ class BlockCache : public BlockDevice {
   struct Entry {
     std::vector<uint8_t> data;
     bool dirty = false;
-    std::list<uint64_t>::iterator lru_it;
   };
   struct Shard {
     std::mutex mu;
-    std::unordered_map<uint64_t, Entry> map;
-    // Front = most recently used.
-    std::list<uint64_t> lru;
+    Lru<uint64_t, Entry> lru;
   };
   Shard& ShardFor(uint64_t block) {
     // Group 8 consecutive blocks per shard so a sequential scan takes
@@ -140,9 +135,10 @@ class BlockCache : public BlockDevice {
                         Entry** out);
   Status EvictIfFullLocked(Shard& shard);
   Status WritebackLocked(uint64_t block, Entry& entry);
-  void TouchLocked(Shard& shard, uint64_t block, Entry& entry);
 
-  Status FlushSome(size_t max_blocks, uint64_t* flushed);
+  // Writes every dirty block to the device, coldest first in each shard.
+  // Sync() and the flusher share it.
+  Status WriteBackAll();
   void FlusherMain();
 
   std::shared_ptr<BlockDevice> base_;

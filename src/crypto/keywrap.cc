@@ -1,5 +1,7 @@
 #include "src/crypto/keywrap.h"
 
+#include <algorithm>
+
 #include "src/crypto/aead.h"
 #include "src/crypto/dh.h"
 #include "src/crypto/hmac.h"
@@ -11,8 +13,12 @@ namespace {
 constexpr char kKdfInfo[] = "discfs-keywrap-v1";
 
 Bytes DeriveWrapKey(const Bytes& shared, const Bytes& ephemeral_public) {
-  Bytes info = ToBytes(kKdfInfo);
-  Append(info, ephemeral_public);
+  // info = kKdfInfo ‖ ephemeral public value, in a buffer sized up front.
+  constexpr size_t kInfoLen = sizeof(kKdfInfo) - 1;
+  Bytes info(kInfoLen + ephemeral_public.size());
+  std::copy(kKdfInfo, kKdfInfo + kInfoLen, info.begin());
+  std::copy(ephemeral_public.begin(), ephemeral_public.end(),
+            info.begin() + kInfoLen);
   return HkdfSha256(/*salt=*/Bytes(), shared, info, Aead::kKeySize);
 }
 

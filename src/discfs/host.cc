@@ -85,8 +85,6 @@ RpcConnection::Options MakeConnOptions(EventLoop* loop, WorkerPool* pool,
   conn_options.max_inflight = options.max_inflight_per_conn;
   conn_options.send_queue_limit = options.send_queue_limit;
   conn_options.admission_queue_limit = options.admission_queue_limit;
-  conn_options.shed_data_watermark = options.shed_data_watermark;
-  conn_options.shed_namespace_watermark = options.shed_namespace_watermark;
   return conn_options;
 }
 

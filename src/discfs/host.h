@@ -42,16 +42,11 @@ struct DiscfsHostOptions {
   // Global admission bound: once the shared pool's queue depth reaches
   // this, new requests get a RESOURCE_EXHAUSTED busy reply instead of
   // queueing behind everyone else's, so connection fan-in cannot blow tail
-  // latency. 0 disables admission control.
+  // latency. 0 disables admission control. Shedding is policy-aware: data
+  // reads/writes shed at a quarter of the limit and namespace operations
+  // at half of it (each at least 1), while control-plane work (credential
+  // submits, revocations, cluster coherence) rides through to the limit.
   size_t admission_queue_limit = 0;
-  // Policy-aware shed watermarks (PR 10): pool queue depths at which data
-  // reads/writes (shed_data_watermark) and namespace operations
-  // (shed_namespace_watermark) start busy-rejecting, while control-plane
-  // work (credential submits, revocations, cluster coherence) rides
-  // through to the hard admission_queue_limit. 0 disables a tier; with
-  // both zero, admission control is the old single-threshold behavior.
-  size_t shed_data_watermark = 0;
-  size_t shed_namespace_watermark = 0;
   // Listener bind address ("0.0.0.0" to serve remote peers).
   std::string bind_addr = "127.0.0.1";
 

@@ -6,11 +6,10 @@
 // Scaling properties (the access-check hot path runs under a shared lock,
 // so the cache synchronizes itself):
 //
-//  * Sharding — entries hash across N independent shards, each with its own
-//    mutex and LRU list, so concurrent lookups from different connections
-//    do not serialize on one lock. N is derived from the capacity (about 32
-//    entries per shard, power of two, at most 16 shards) so small caches
-//    keep exact global LRU semantics.
+//  * Sharding — entries live in a ShardedLru (src/util/lru.h) of
+//    ShardCount(capacity, 32) shards, so concurrent lookups from
+//    different connections do not serialize on one lock, and small caches
+//    keep exact global LRU order.
 //  * Generation stamps — every entry records the generation counter of its
 //    requester principal at insertion. Credential churn bumps only the
 //    generations of principals reachable from the changed credential's
@@ -33,22 +32,19 @@
 
 #include <atomic>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <vector>
+
+#include "src/util/lru.h"
 
 namespace discfs {
 
 class PolicyCache {
  public:
-  struct Stats {
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t evictions = 0;
+  struct Stats : LruStats {
     uint64_t invalidations = 0;  // entries dropped by flush or churn
   };
 
@@ -64,8 +60,7 @@ class PolicyCache {
     uint64_t generation_rebases = 0;
   };
 
-  // capacity 0 disables caching entirely (every query recomputes). The
-  // shard count derives from the capacity.
+  // capacity 0 disables caching entirely (every query recomputes).
   PolicyCache(size_t capacity, int64_t ttl_seconds);
 
   // Returns the cached permission mask, or nullopt on miss, expiry, or a
@@ -90,10 +85,9 @@ class PolicyCache {
 
   // Resident entries; may transiently count generation-stale entries that
   // have not been touched since their principal was invalidated.
-  size_t size() const;
-  size_t capacity() const { return capacity_; }
-  size_t shard_count() const { return shards_.size(); }
-  Stats stats() const;  // aggregated over shards
+  size_t size() const { return entries_.size(); }
+  size_t shard_count() const { return entries_.shard_count(); }
+  Stats stats() const;
   CoherenceStats coherence_stats() const;
 
  private:
@@ -109,17 +103,10 @@ class PolicyCache {
       return std::hash<std::string>()(k.key_id) * 1000003u + k.inode;
     }
   };
-  struct Node {
-    Key key;
+  struct Entry {
     uint32_t mask;
     int64_t expires_at;
     uint64_t generation;  // the principal's generation at Put time
-  };
-  struct Shard {
-    mutable std::mutex mu;
-    std::list<Node> lru;  // front = most recently used
-    std::unordered_map<Key, std::list<Node>::iterator, KeyHash> entries;
-    Stats stats;
   };
 
   // Exact per-principal generation counters, striped to keep bump/lookup
@@ -139,16 +126,14 @@ class PolicyCache {
   // memory regardless of how many distinct principals a server ever sees.
   static constexpr size_t kMaxTrackedPerStripe = 4096;
 
-  Shard& ShardFor(const Key& key);
   GenStripe& StripeFor(const std::string& key_id);
   // The principal's current generation (its stripe's base if untracked).
   uint64_t CurrentGen(const std::string& key_id);
 
-  size_t capacity_;
-  size_t per_shard_capacity_;
+  ShardedLru<Key, Entry, KeyHash> entries_;
   int64_t ttl_seconds_;
-  std::vector<std::unique_ptr<Shard>> shards_;
   std::unique_ptr<GenStripe[]> gen_stripes_;
+  std::atomic<uint64_t> invalidations_{0};
   std::atomic<uint64_t> local_bumps_{0};
   std::atomic<uint64_t> remote_bumps_{0};
   std::atomic<uint64_t> generation_rebases_{0};

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <deque>
-#include <list>
 #include <set>
-#include <unordered_map>
 
 #include "src/util/clock.h"
 #include "src/util/strings.h"
@@ -18,6 +16,7 @@ constexpr uint32_t kInodeSize = 128;
 constexpr uint32_t kDirEntrySize = 64;
 constexpr size_t kDirectBlocks = 10;
 constexpr size_t kInodeCacheEntries = 1024;
+constexpr size_t kInodeCacheMinPerShard = 64;
 
 uint32_t LoadU32(const uint8_t* p) {
   uint32_t v;
@@ -149,83 +148,8 @@ struct Ffs::DiskInode {
   }
 };
 
-// Sharded, bounded, write-through cache of deserialized inodes, so hot-path
-// GetAttr/Lookup stop re-reading (and re-parsing) inode-table blocks. It is
-// never dirty relative to the block layer: WriteInode updates the cached
-// copy and patches the on-disk block in the same call.
-struct Ffs::InodeCache {
-  struct Shard {
-    std::mutex mu;
-    std::list<InodeNum> lru;  // front = most recently used
-    std::unordered_map<InodeNum,
-                       std::pair<DiskInode, std::list<InodeNum>::iterator>>
-        map;
-  };
-
-  explicit InodeCache(size_t capacity) {
-    size_t n = 1;
-    while (n < 16 && capacity / (n * 2) >= 64) n *= 2;
-    shards.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      shards.push_back(std::make_unique<Shard>());
-    }
-    shard_capacity = std::max<size_t>(8, capacity / n);
-  }
-
-  Shard& ShardFor(InodeNum inode) {
-    return *shards[inode & (shards.size() - 1)];
-  }
-
-  bool Get(InodeNum inode, DiskInode* out) {
-    Shard& s = ShardFor(inode);
-    std::lock_guard<std::mutex> lock(s.mu);
-    auto it = s.map.find(inode);
-    if (it == s.map.end()) {
-      return false;
-    }
-    s.lru.erase(it->second.second);
-    s.lru.push_front(inode);
-    it->second.second = s.lru.begin();
-    *out = it->second.first;
-    return true;
-  }
-
-  // Installs `node`. With overwrite=false (read-miss fill) an existing
-  // entry wins — it may be newer than what the reader saw on disk.
-  void Put(InodeNum inode, const DiskInode& node, bool overwrite,
-           DiskInode* winner) {
-    Shard& s = ShardFor(inode);
-    std::lock_guard<std::mutex> lock(s.mu);
-    auto it = s.map.find(inode);
-    if (it != s.map.end()) {
-      if (overwrite) {
-        it->second.first = node;
-      }
-      s.lru.erase(it->second.second);
-      s.lru.push_front(inode);
-      it->second.second = s.lru.begin();
-      if (winner != nullptr) {
-        *winner = it->second.first;
-      }
-      return;
-    }
-    if (s.map.size() >= shard_capacity) {
-      s.map.erase(s.lru.back());
-      s.lru.pop_back();
-    }
-    s.lru.push_front(inode);
-    s.map.emplace(inode, std::make_pair(node, s.lru.begin()));
-    if (winner != nullptr) {
-      *winner = node;
-    }
-  }
-
-  std::vector<std::unique_ptr<Shard>> shards;
-  size_t shard_capacity = 0;
-};
-
 Ffs::Ffs(std::shared_ptr<BlockDevice> device, const FfsMountOptions& options)
-    : icache_(std::make_unique<InodeCache>(kInodeCacheEntries)) {
+    : icache_(kInodeCacheEntries, kInodeCacheMinPerShard) {
   if (options.cache.capacity_blocks > 0) {
     auto cache = std::make_shared<BlockCache>(std::move(device),
                                               options.cache);
@@ -403,7 +327,10 @@ Result<Ffs::DiskInode> Ffs::ReadInode(InodeNum inode) {
     return InvalidArgumentError(StrPrintf("inode %u out of range", inode));
   }
   DiskInode cached;
-  if (icache_->Get(inode, &cached)) {
+  if (icache_.Find(inode, [&cached](const DiskInode& node) {
+        cached = node;
+        return true;
+      })) {
     return cached;
   }
   const uint32_t inodes_per_block = sb_->block_size / kInodeSize;
@@ -414,16 +341,14 @@ Result<Ffs::DiskInode> Ffs::ReadInode(InodeNum inode) {
   DiskInode node = DiskInode::Deserialize(buf.data() + offset);
   // Fill without overwriting: a concurrent WriteInode may have installed
   // a newer copy than the block we just read — that copy wins.
-  DiskInode winner;
-  icache_->Put(inode, node, /*overwrite=*/false, &winner);
-  return winner;
+  return icache_.Insert(inode, node);
 }
 
 Status Ffs::WriteInode(InodeNum inode, const DiskInode& node) {
   const uint32_t inodes_per_block = sb_->block_size / kInodeSize;
   uint64_t block = sb_->inode_table_start + inode / inodes_per_block;
   uint32_t offset = (inode % inodes_per_block) * kInodeSize;
-  icache_->Put(inode, node, /*overwrite=*/true, nullptr);
+  icache_.Put(inode, node);
   // Patch only this inode's 128 bytes so concurrent updates of other
   // inodes sharing the block cannot be lost.
   return ModifyBlock(

@@ -40,6 +40,7 @@
 
 #include "src/blockdev/block_cache.h"
 #include "src/blockdev/blockdev.h"
+#include "src/util/lru.h"
 #include "src/util/status.h"
 
 namespace discfs {
@@ -176,7 +177,6 @@ class Ffs {
  private:
   struct Superblock;
   struct DiskInode;
-  struct InodeCache;
 
   Ffs(std::shared_ptr<BlockDevice> device, const FfsMountOptions& options);
 
@@ -246,7 +246,11 @@ class Ffs {
   // Serializes allocation state: bitmap find/set, superblock counters and
   // cursors, and StatFs.
   std::mutex alloc_mu_;
-  std::unique_ptr<InodeCache> icache_;
+  // Deserialized inodes, so hot-path GetAttr/Lookup stop re-reading and
+  // re-parsing inode-table blocks. Never dirty relative to the block
+  // layer: WriteInode updates the cached copy and patches the on-disk
+  // block in the same call.
+  ShardedLru<InodeNum, DiskInode> icache_;
   InodeNum root_inode_ = 1;
 };
 

@@ -7,36 +7,25 @@
 // full (failing) verify path — the cache can never turn a rejection into
 // an acceptance.
 //
-// Shard design follows PolicyCache: entries hash over N mutex+LRU shards
-// (~32 entries/shard, power of two, at most 16 shards; 1 shard for small
-// capacities so exact LRU semantics hold). All methods are internally
-// synchronized — admission calls Contains/Insert with no outer lock held.
+// The set is a ShardedLru (src/util/lru.h) of ShardCount(capacity, 32)
+// shards, so it is internally synchronized: admission calls
+// Contains/Insert with no outer lock held.
 #ifndef DISCFS_SRC_KEYNOTE_SIGCACHE_H_
 #define DISCFS_SRC_KEYNOTE_SIGCACHE_H_
 
-#include <atomic>
 #include <cstdint>
-#include <list>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
-#include <vector>
 
 #include "src/util/bytes.h"
+#include "src/util/lru.h"
 
 namespace discfs::keynote {
 
 class VerifiedSignatureCache {
  public:
-  struct Stats {
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t evictions = 0;
-  };
+  using Stats = LruStats;
 
   // capacity 0 disables caching (every Contains misses, Insert drops).
-  // The shard count derives from the capacity.
   explicit VerifiedSignatureCache(size_t capacity);
 
   // Digest of one verification instance: SHA-256 over the authorizer key
@@ -53,24 +42,12 @@ class VerifiedSignatureCache {
   // Records a successful verification. Idempotent.
   void Insert(const Bytes& key);
 
-  size_t size() const;
-  size_t capacity() const { return capacity_; }
-  size_t shard_count() const { return shards_.size(); }
-  Stats stats() const;  // aggregated over shards
+  size_t size() const { return entries_.size(); }
+  size_t shard_count() const { return entries_.shard_count(); }
+  Stats stats() const { return entries_.stats(); }
 
  private:
-  struct Shard {
-    mutable std::mutex mu;
-    std::list<std::string> lru;  // front = most recently used
-    std::unordered_map<std::string, std::list<std::string>::iterator> entries;
-    Stats stats;
-  };
-
-  Shard& ShardFor(const std::string& key);
-
-  size_t capacity_;
-  size_t per_shard_capacity_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  ShardedLru<std::string, bool> entries_;  // the value is unused
 };
 
 }  // namespace discfs::keynote

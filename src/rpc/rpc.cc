@@ -517,12 +517,11 @@ void RpcConnection::PumpReads() {
     if (timing) {
       ts.decoded_ns = rec->Now();
     }
-    const bool tiered = opts_.shed_data_watermark > 0 ||
-                        opts_.shed_namespace_watermark > 0;
+    const bool tiered = opts_.admission_queue_limit > 0;
     // One queue_depth() read serves both the admission check and the
     // recorder's pool-backlog sample.
     size_t pool_depth = 0;
-    if (timing || tiered || opts_.admission_queue_limit > 0) {
+    if (timing || tiered) {
       pool_depth = opts_.pool->queue_depth();
     }
     RpcPriority priority = RpcPriority::kNamespace;
@@ -580,21 +579,12 @@ void RpcConnection::PumpReads() {
 }
 
 size_t RpcConnection::AdmissionLimitFor(RpcPriority priority) const {
-  size_t limit = opts_.admission_queue_limit;  // hard limit, every class
-  auto tighten = [&limit](size_t watermark) {
-    if (watermark > 0 && (limit == 0 || watermark < limit)) {
-      limit = watermark;
-    }
-  };
-  // Lower classes shed at every watermark above them, so a host that only
-  // configures the namespace tier still sheds data traffic there first.
-  if (priority == RpcPriority::kData) {
-    tighten(opts_.shed_data_watermark);
+  const size_t limit = opts_.admission_queue_limit;
+  if (limit == 0 || priority == RpcPriority::kControl) {
+    return limit;
   }
-  if (priority != RpcPriority::kControl) {
-    tighten(opts_.shed_namespace_watermark);
-  }
-  return limit;
+  return std::max<size_t>(
+      1, priority == RpcPriority::kData ? limit / 4 : limit / 2);
 }
 
 void RpcConnection::ExecuteOnPool(uint32_t xid, uint32_t prog, uint32_t proc,

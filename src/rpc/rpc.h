@@ -211,18 +211,11 @@ class RpcConnection : public std::enable_shared_from_this<RpcConnection> {
     // Global admission bound: when the shared pool's queue depth reaches
     // this, new requests are rejected with RESOURCE_EXHAUSTED instead of
     // queued, so connection fan-in cannot blow tail latency. 0 = off.
-    // With the watermarks below unset this is a binary bound on every
-    // request; with them set it becomes the hard limit that even
-    // kControl work sheds at.
+    // Shedding is tiered by priority class: data requests shed at a
+    // quarter of the limit, namespace requests at half of it (each at
+    // least 1), and control-plane work (submits, revocations) only at
+    // the limit itself.
     size_t admission_queue_limit = 0;
-    // Watermark tiers for policy-aware shedding. A non-zero watermark
-    // busy-rejects requests of that priority class (and every class
-    // below it) once the shared pool's queue depth reaches it, so under
-    // pressure data reads shed first, then namespace operations, and
-    // control-plane work (submits, revocations) only at the hard
-    // admission_queue_limit. Both 0 = tiering off (binary behavior).
-    size_t shed_data_watermark = 0;
-    size_t shed_namespace_watermark = 0;
     // Flight recorder: when set (and its registry is enabled), the
     // connection stamps each call at five points and reports span timings
     // plus queue depths per (prog, proc). It also counts every shed and
@@ -267,8 +260,7 @@ class RpcConnection : public std::enable_shared_from_this<RpcConnection> {
   void OnEvent(uint32_t events);      // loop thread
   void PumpReads();                   // loop thread
   void Drain();                       // loop thread (EPOLLOUT entry)
-  // Pool-queue-depth ceiling that admits a request of this priority
-  // (smallest applicable watermark, falling back to the hard limit);
+  // Pool-queue-depth ceiling that admits a request of this priority;
   // 0 = unbounded.
   size_t AdmissionLimitFor(RpcPriority priority) const;
   void ExecuteOnPool(uint32_t xid, uint32_t prog, uint32_t proc, Bytes args,

@@ -3,14 +3,69 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <cstring>
+#include <new>
 #include <thread>
 #include <vector>
 
 #include "src/ffs/ffs.h"
 
+// Global operator new, replaced for this whole binary so a test can count
+// the heap allocations one thread makes. It counts only while the calling
+// thread's flag is set (see CountNews), so other tests and threads run as
+// usual. Every plain, array and nothrow form is replaced, with a matching
+// delete, so sanitizer builds see consistent malloc/free pairs.
+namespace {
+thread_local bool t_count_news = false;
+thread_local size_t t_news = 0;
+
+void* CountedNew(std::size_t size) noexcept {
+  if (t_count_news) {
+    ++t_news;
+  }
+  return std::malloc(size == 0 ? 1 : size);
+}
+
+void* CountedNewOrThrow(std::size_t size) {
+  if (void* p = CountedNew(size)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+}  // namespace
+
+void* operator new(std::size_t size) { return CountedNewOrThrow(size); }
+void* operator new[](std::size_t size) { return CountedNewOrThrow(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return CountedNew(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return CountedNew(size);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+
 namespace discfs {
 namespace {
+
+// Heap allocations `fn` makes on this thread.
+template <typename Fn>
+size_t CountNews(Fn fn) {
+  t_news = 0;
+  t_count_news = true;
+  fn();
+  t_count_news = false;
+  return t_news;
+}
 
 constexpr uint32_t kBlockSize = 512;
 
@@ -264,6 +319,42 @@ TEST(BlockCacheTest, ConcurrentReadWriteStorm) {
   ASSERT_FALSE(failed.load());
   ASSERT_TRUE(cache.Sync().ok());
   EXPECT_EQ(cache.dirty_blocks(), 0u);
+}
+
+// A hit on a resident block or a cached inode moves its entry to the
+// front of the LRU in place, so neither allocates.
+TEST(BlockCacheTest, HitsDoNotAllocate) {
+  auto base = std::make_shared<MemBlockDevice>(kBlockSize, 64);
+  BlockCache cache(base, ManualOptions(8));
+  std::vector<uint8_t> buf(kBlockSize);
+  ASSERT_TRUE(cache.Read(0, buf.data()).ok());
+  ASSERT_TRUE(cache.Read(1, buf.data()).ok());
+  bool all_ok = true;
+  size_t news = CountNews([&] {
+    for (int i = 0; i < 1000; ++i) {
+      all_ok &= cache.Read(i % 2, buf.data()).ok();
+    }
+  });
+  EXPECT_TRUE(all_ok);
+  EXPECT_EQ(news, 0u) << "allocations in 1,000 block-cache hits";
+  EXPECT_EQ(cache.cache_stats().hits.load(), 1000u);
+
+  auto dev = std::make_shared<MemBlockDevice>(4096, 1024);
+  FfsFormatOptions format;
+  format.inode_count = 256;
+  format.mount.cache.flusher_thread = false;
+  auto fs = Ffs::Format(dev, format);
+  ASSERT_TRUE(fs.ok()) << fs.status();
+  auto file = (*fs)->Create((*fs)->root(), "f", 0644);
+  ASSERT_TRUE(file.ok());
+  ASSERT_TRUE((*fs)->GetAttr(file->inode).ok());
+  news = CountNews([&] {
+    for (int i = 0; i < 1000; ++i) {
+      all_ok &= (*fs)->GetAttr(i % 2 ? file->inode : (*fs)->root()).ok();
+    }
+  });
+  EXPECT_TRUE(all_ok);
+  EXPECT_EQ(news, 0u) << "allocations in 1,000 GetAttr calls on cached inodes";
 }
 
 // Crash simulation end-to-end: churn a filesystem past a Sync point, drop

@@ -393,7 +393,7 @@ TEST(EventLoopRpc, AdmissionBoundBusyRejectsWhenPoolSaturated) {
     ASSERT_FALSE(result.ok()) << "admission bound admitted a 7th request";
     EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
   }
-  // Without shed watermarks every request is in the namespace class.
+  // A proc with no priority set is in the namespace class.
   EXPECT_EQ(recorder.shed_total(static_cast<size_t>(RpcPriority::kNamespace)),
             4u);
   EXPECT_EQ(entered.load(), 1);  // rejects never touched the pool

@@ -113,10 +113,10 @@ struct TieredServer {
   }
 };
 
-// Under pressure the tiers shed in strict order: data bounces at its
-// watermark while namespace and control are still admitted; namespace
-// bounces at its watermark while control rides to the hard limit; control
-// is only rejected at admission_queue_limit itself.
+// Under pressure the tiers shed in strict order: data bounces at a
+// quarter of the limit while namespace and control are still admitted;
+// namespace bounces at half of it while control rides to the hard limit;
+// control is only rejected at admission_queue_limit itself.
 TEST(Overload, WatermarksShedDataFirstControlLast) {
   TieredServer server;
   auto listener = TcpListener::Listen(0);
@@ -130,9 +130,7 @@ TEST(Overload, WatermarksShedDataFirstControlLast) {
   options.loop = &server.loop;
   options.pool = &server.pool;
   options.max_inflight = 64;
-  options.shed_data_watermark = 1;
-  options.shed_namespace_watermark = 2;
-  options.admission_queue_limit = 4;
+  options.admission_queue_limit = 4;  // data sheds at 1, namespace at 2
   options.recorder = &server.recorder;
   auto served = RpcConnection::Start(&server.dispatcher,
                                      std::move(accepted).value(), RpcContext{},

@@ -20,7 +20,8 @@
 # a half-open flood) is exercised by overload_test, and the server's
 # writer-preferring credential lock (access checks reading the delegation
 # index under it shared while submits and removals take it exclusive) is
-# exercised by policy_scaling_test.
+# exercised by policy_scaling_test, and the sharded LRU every cache is
+# built on is hammered by four threads in util_test.
 #
 # Usage: tools/run_tsan.sh [extra ctest -R regex]
 set -euo pipefail
@@ -41,7 +42,8 @@ build_dir="$repo_root/build-tsan"
 tests=(transport_test rpc_pipeline_test event_loop_test
   discfs_multiserver_test security_test cluster_coherence_test
   cluster_recovery_test admission_test fault_smoke block_cache_test
-  nfs_test lockbox_test obs_test overload_test policy_scaling_test)
+  nfs_test lockbox_test obs_test overload_test policy_scaling_test
+  util_test)
 targets=("${tests[@]/#fault_smoke/fault_harness}")
 test_regex="${1:-$(IFS='|'; echo "${tests[*]}")}"
 
