@@ -1,14 +1,14 @@
 // Admission fast-path scaling (PR 5): what a credential submit costs now
 // that signature verification runs outside the server's exclusive lock,
-// through Montgomery/Shamir double-exponentiation and the
+// through the 64-bit Montgomery kernel with fixed-base combs and the
 // verified-signature cache.
 //
 // Per credential-count tier:
 //
 //   * verify_ref_us  — single-thread DSA verify through the seed path
 //     (two ModExpReference exponentiations + Knuth-division reductions)
-//   * verify_fast_us — the shipping path (DsaVerifyContext: Montgomery
-//     CIOS + Shamir double-exponentiation over precomputed tables)
+//   * verify_fast_us — the shipping path (DsaVerifyContext: combs for g
+//     and y over the group's Montgomery context, one shared chain)
 //   * admit_per_s_{1,4,8}t — SubmitCredential throughput with that many
 //     submitter threads against one server (fresh server per phase)
 //   * sig_cache_hit_rate / resubmit_per_s — replayed submissions skipping
@@ -307,7 +307,7 @@ int Run(int argc, char** argv) {
   report.Set("verify_speedup", verify_speedup);
   report.Set("admit_scaling_1_to_8", admit_scaling);
   report.Set("results", std::move(tiers));
-  // The Montgomery/Shamir verify must stay well ahead of the seed path.
+  // The comb verify must stay well ahead of the seed path.
   report.AddGate("verify_speedup", verify_speedup, GateOp::kGe, 2);
   // Verification runs outside the server lock, so admits scale with
   // submitter threads; CPU-bound work needs the cores to show it.

@@ -18,6 +18,7 @@
 #include "bench/report.h"
 #include "src/crypto/aead.h"
 #include "src/crypto/chacha20.h"
+#include "src/crypto/dh.h"
 #include "src/crypto/dsa.h"
 #include "src/crypto/groups.h"
 #include "src/crypto/poly1305.h"
@@ -122,9 +123,19 @@ void BenchHashAndAead() {
          small.size());
 }
 
-// ----- DSA (1024/160, the production group) -----
+// ----- DSA and DH (1024/160, the production group) -----
 
 void BenchDsa() {
+  // The kernel under every exponentiation: one 1024-bit Montgomery
+  // multiply on the group's context.
+  const MontgomeryCtx& mont = GetGroupContext(Dsa1024())->mont_p();
+  MontgomeryCtx::Elem a = mont.ToMont(Dsa1024().g);
+  MontgomeryCtx::Elem b = mont.ToMont(BigNum::Sub(Dsa1024().p, BigNum(2)));
+  Report("mont_mul_1024", Measure([&] {
+           mont.MulMont(a.data(), b.data(), a.data());
+           Sink(a[0]);
+         }));
+
   DsaPrivateKey key = DsaPrivateKey::Generate(Dsa1024(), BenchRand(1));
   Bytes digest = Sha1::Hash("credential body");
   Report("dsa_sign_1024", Measure([&] {
@@ -134,6 +145,20 @@ void BenchDsa() {
   DsaSignature sig = key.Sign(digest);
   Report("dsa_verify_1024",
          Measure([&] { Sink(key.public_key().Verify(digest, sig)); }));
+  // A verify under a key with no cached context: the y comb's build plus
+  // one verify, the cost of a new client's first handshake signature.
+  Report("dsa_verify_1024_new_key", Measure([&] {
+           auto ctx = DsaVerifyContext::Create(key.public_key());
+           Sink(ctx.ok() && ctx->Verify(digest, sig));
+         }));
+
+  DhKeyPair dh = DhKeyPair::Generate(Dsa1024(), BenchRand(3));
+  DhKeyPair peer = DhKeyPair::Generate(Dsa1024(), BenchRand(4));
+  Bytes peer_public = peer.PublicValue();
+  Report("dh_public_1024", Measure([&] { Sink(dh.PublicValue()); }));
+  Report("dh_shared_1024", Measure([&] {
+           Sink(dh.SharedSecret(peer_public).ok());
+         }));
 }
 
 // ----- credential lifecycle -----

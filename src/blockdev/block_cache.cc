@@ -57,18 +57,6 @@ Status BlockCache::WritebackLocked(uint64_t block, Entry& entry) {
   return OkStatus();
 }
 
-Status BlockCache::EvictIfFullLocked(Shard& shard) {
-  while (shard.lru.size() >= shard_capacity_) {
-    auto& [victim, entry] = shard.lru.Coldest();
-    if (entry.dirty) {
-      RETURN_IF_ERROR(WritebackLocked(victim, entry));
-    }
-    shard.lru.PopColdest();
-    cache_stats_.evictions.fetch_add(1, std::memory_order_relaxed);
-  }
-  return OkStatus();
-}
-
 Status BlockCache::GetEntryLocked(Shard& shard, uint64_t block,
                                   bool fill_from_device, Entry** out) {
   if (Entry* hit = shard.lru.Find(block)) {
@@ -77,12 +65,30 @@ Status BlockCache::GetEntryLocked(Shard& shard, uint64_t block,
     return OkStatus();
   }
   cache_stats_.misses.fetch_add(1, std::memory_order_relaxed);
-  RETURN_IF_ERROR(EvictIfFullLocked(shard));
-  std::vector<uint8_t> data(block_size_);
-  if (fill_from_device) {
-    RETURN_IF_ERROR(base_->Read(block, data.data()));
+  if (shard.lru.size() < shard_capacity_) {
+    std::vector<uint8_t> data(block_size_);
+    if (fill_from_device) {
+      RETURN_IF_ERROR(base_->Read(block, data.data()));
+    }
+    *out = &shard.lru.Insert(block, Entry{std::move(data)});
+    return OkStatus();
   }
-  *out = &shard.lru.Insert(block, Entry{std::move(data)});
+  // A full shard: the coldest entry, written back if dirty, becomes the
+  // new block's, buffer and nodes included.
+  auto [victim, cold] = shard.lru.Coldest();
+  if (cold.dirty) {
+    RETURN_IF_ERROR(WritebackLocked(victim, cold));
+  }
+  Entry& entry = shard.lru.RekeyColdest(block);
+  cache_stats_.evictions.fetch_add(1, std::memory_order_relaxed);
+  if (fill_from_device) {
+    Status st = base_->Read(block, entry.data.data());
+    if (!st.ok()) {
+      shard.lru.Erase(block);
+      return st;
+    }
+  }
+  *out = &entry;
   return OkStatus();
 }
 

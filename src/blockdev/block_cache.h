@@ -9,7 +9,8 @@
 //
 // Write policy is write-back: Write()/Modify() dirty the cached copy
 // without touching the device. Dirty blocks reach the device via
-//   - eviction (LRU victim is written back before being dropped),
+//   - eviction (the LRU victim is written back before its entry is
+//     reused for the missed block),
 //   - the background flusher (woken when dirty count crosses the
 //     watermark, and on a periodic interval),
 //   - Sync(), the durability barrier Ffs uses at metadata sync points.
@@ -130,10 +131,11 @@ class BlockCache : public BlockDevice {
     return *shards_[(block >> 3) & shard_mask_];
   }
 
-  // All helpers below require `shard.mu` held.
+  // All helpers below require `shard.mu` held. A miss on a full shard
+  // reuses the coldest entry (written back first if dirty) for the new
+  // block, so it allocates nothing; a failed fill drops that entry.
   Status GetEntryLocked(Shard& shard, uint64_t block, bool fill_from_device,
                         Entry** out);
-  Status EvictIfFullLocked(Shard& shard);
   Status WritebackLocked(uint64_t block, Entry& entry);
 
   // Writes every dirty block to the device, coldest first in each shard.

@@ -26,6 +26,24 @@ void BigNum::Normalize() {
   }
 }
 
+void BigNum::ToWords(uint64_t* out, size_t words) const {
+  std::fill(out, out + words, 0);
+  for (size_t i = 0; i < limbs_.size(); ++i) {
+    out[i / 2] |= static_cast<uint64_t>(limbs_[i]) << (32 * (i % 2));
+  }
+}
+
+BigNum BigNum::FromWords(const uint64_t* words, size_t n) {
+  BigNum out;
+  out.limbs_.resize(2 * n);
+  for (size_t i = 0; i < n; ++i) {
+    out.limbs_[2 * i] = static_cast<uint32_t>(words[i]);
+    out.limbs_[2 * i + 1] = static_cast<uint32_t>(words[i] >> 32);
+  }
+  out.Normalize();
+  return out;
+}
+
 BigNum BigNum::FromBytes(const Bytes& be) {
   BigNum out;
   out.limbs_.assign((be.size() + 3) / 4, 0);
@@ -391,16 +409,6 @@ BigNum BigNum::ModExp(const BigNum& base, const BigNum& exp, const BigNum& m) {
   return ModExpReference(base, exp, m);
 }
 
-BigNum BigNum::ModExpDouble(const BigNum& g, const BigNum& u1, const BigNum& y,
-                            const BigNum& u2, const BigNum& m) {
-  if (m.IsOdd() && m.BitLength() > 1) {
-    auto ctx = MontgomeryCtx::Create(m);
-    assert(ctx.ok());
-    return ctx->ModExpDouble(g, u1, y, u2);
-  }
-  return ModMul(ModExpReference(g, u1, m), ModExpReference(y, u2, m), m);
-}
-
 BigNum BigNum::ModExpReference(const BigNum& base, const BigNum& exp,
                                const BigNum& m) {
   if (m.BitLength() == 1) {
@@ -446,12 +454,14 @@ BigNum BigNum::ModExpReference(const BigNum& base, const BigNum& exp,
 
 namespace {
 
-// Inverse of odd x modulo 2^32 (Newton iteration: x is exact mod 2^3 for
-// odd x; each step doubles the bits of precision).
-uint32_t InverseMod32(uint32_t x) {
-  uint32_t inv = x;
-  for (int i = 0; i < 4; ++i) {
-    inv *= 2u - x * inv;
+using U128 = unsigned __int128;
+
+// Inverse of odd x modulo 2^64 (Newton iteration: x is its own inverse
+// mod 2^3 for odd x; each step doubles the bits of precision).
+uint64_t InverseMod64(uint64_t x) {
+  uint64_t inv = x;
+  for (int i = 0; i < 5; ++i) {
+    inv *= 2 - x * inv;
   }
   return inv;
 }
@@ -464,6 +474,15 @@ unsigned Window4(const BigNum& exp, size_t w) {
   return d;
 }
 
+// Column k of a comb over `cols` columns: bit r is exp's bit r cols + k.
+unsigned CombColumn(const BigNum& exp, size_t cols, size_t k) {
+  unsigned idx = 0;
+  for (size_t r = MontgomeryCtx::kCombRows; r-- > 0;) {
+    idx = (idx << 1) | (exp.Bit(r * cols + k) ? 1u : 0u);
+  }
+  return idx;
+}
+
 }  // namespace
 
 Result<MontgomeryCtx> MontgomeryCtx::Create(const BigNum& m) {
@@ -474,180 +493,214 @@ Result<MontgomeryCtx> MontgomeryCtx::Create(const BigNum& m) {
 }
 
 MontgomeryCtx::MontgomeryCtx(BigNum m) : m_(std::move(m)) {
-  n_ = m_.limbs_.size();
-  m_limbs_.assign(m_.limbs_.begin(), m_.limbs_.end());
-  n0inv_ = static_cast<uint32_t>(0u - InverseMod32(m_limbs_[0]));
-  // R = 2^(32 n). The two divisions below are the only ones this context
+  n_ = (m_.limbs_.size() + 1) / 2;
+  m_words_.resize(n_);
+  m_.ToWords(m_words_.data(), n_);
+  n0inv_ = 0 - InverseMod64(m_words_[0]);
+  // R = 2^(64 n). The two divisions below are the only ones this context
   // ever performs.
-  BigNum r2 = BigNum::Mod(BigNum::ShiftLeft(BigNum(1), 64 * n_), m_);
-  BigNum r1 = BigNum::Mod(BigNum::ShiftLeft(BigNum(1), 32 * n_), m_);
-  rr_.assign(n_, 0);
-  std::copy(r2.limbs_.begin(), r2.limbs_.end(), rr_.begin());
-  one_.assign(n_, 0);
-  std::copy(r1.limbs_.begin(), r1.limbs_.end(), one_.begin());
+  BigNum r2 = BigNum::Mod(BigNum::ShiftLeft(BigNum(1), 128 * n_), m_);
+  BigNum r1 = BigNum::Mod(BigNum::ShiftLeft(BigNum(1), 64 * n_), m_);
+  rr_.resize(n_);
+  r2.ToWords(rr_.data(), n_);
+  one_.resize(n_);
+  r1.ToWords(one_.data(), n_);
 }
 
-void MontgomeryCtx::MulMont(const Elem& a, const Elem& b, Elem& out) const {
+void MontgomeryCtx::MulMont(const uint64_t* a, const uint64_t* b,
+                            uint64_t* out) const {
   const size_t n = n_;
-  // CIOS (Koç et al.): interleave one limb of the product with one REDC
-  // step, shifting t down a limb per iteration. t < 2m throughout, so one
-  // conditional subtract at the end completes the reduction.
-  Elem t(n + 2, 0);
+  const uint64_t* m = m_words_.data();
+  // Only the first n + 2 words of the scratch are used, and zeroed here.
+  uint64_t stack[kStackLimbs + 2];
+  std::vector<uint64_t> heap;
+  uint64_t* t = stack;
+  if (n > kStackLimbs) {
+    heap.resize(n + 2);
+    t = heap.data();
+  }
+  std::fill(t, t + n + 2, 0);
+  // CIOS (Koc et al.): interleave one word of the product with one REDC
+  // step, shifting t down a word per iteration. t < 2m throughout, so one
+  // conditional subtract at the end completes the reduction. Each 128-bit
+  // sum below is at most (2^64 - 1)^2 + 2 (2^64 - 1) = 2^128 - 1.
   for (size_t i = 0; i < n; ++i) {
     const uint64_t bi = b[i];
     uint64_t carry = 0;
     for (size_t j = 0; j < n; ++j) {
-      uint64_t cur = t[j] + static_cast<uint64_t>(a[j]) * bi + carry;
-      t[j] = static_cast<uint32_t>(cur);
-      carry = cur >> 32;
+      U128 cur = static_cast<U128>(a[j]) * bi + t[j] + carry;
+      t[j] = static_cast<uint64_t>(cur);
+      carry = static_cast<uint64_t>(cur >> 64);
     }
-    uint64_t cur = t[n] + carry;
-    t[n] = static_cast<uint32_t>(cur);
-    t[n + 1] = static_cast<uint32_t>(cur >> 32);
+    U128 top = static_cast<U128>(t[n]) + carry;
+    t[n] = static_cast<uint64_t>(top);
+    t[n + 1] = static_cast<uint64_t>(top >> 64);
 
-    const uint32_t mu = t[0] * n0inv_;
-    carry = (t[0] + static_cast<uint64_t>(mu) * m_limbs_[0]) >> 32;
+    const uint64_t mu = t[0] * n0inv_;
+    carry = static_cast<uint64_t>(
+        (static_cast<U128>(mu) * m[0] + t[0]) >> 64);
     for (size_t j = 1; j < n; ++j) {
-      cur = t[j] + static_cast<uint64_t>(mu) * m_limbs_[j] + carry;
-      t[j - 1] = static_cast<uint32_t>(cur);
-      carry = cur >> 32;
+      U128 cur = static_cast<U128>(mu) * m[j] + t[j] + carry;
+      t[j - 1] = static_cast<uint64_t>(cur);
+      carry = static_cast<uint64_t>(cur >> 64);
     }
-    cur = t[n] + carry;
-    t[n - 1] = static_cast<uint32_t>(cur);
-    t[n] = t[n + 1] + static_cast<uint32_t>(cur >> 32);
+    top = static_cast<U128>(t[n]) + carry;
+    t[n - 1] = static_cast<uint64_t>(top);
+    t[n] = t[n + 1] + static_cast<uint64_t>(top >> 64);
   }
 
   bool ge = t[n] != 0;
   if (!ge) {
     ge = true;  // equality also subtracts (yields zero)
     for (size_t i = n; i-- > 0;) {
-      if (t[i] != m_limbs_[i]) {
-        ge = t[i] > m_limbs_[i];
+      if (t[i] != m[i]) {
+        ge = t[i] > m[i];
         break;
       }
     }
   }
-  out.assign(n, 0);  // a and b are fully consumed; aliasing is fine
+  // a and b are fully consumed, so out may alias either.
   if (ge) {
-    int64_t borrow = 0;
+    uint64_t borrow = 0;
     for (size_t i = 0; i < n; ++i) {
-      int64_t d = static_cast<int64_t>(t[i]) - m_limbs_[i] - borrow;
-      if (d < 0) {
-        d += static_cast<int64_t>(kBase);
-        borrow = 1;
-      } else {
-        borrow = 0;
-      }
-      out[i] = static_cast<uint32_t>(d);
+      U128 d = static_cast<U128>(t[i]) - m[i] - borrow;
+      out[i] = static_cast<uint64_t>(d);
+      borrow = static_cast<uint64_t>(d >> 64) & 1;
     }
   } else {
-    std::copy(t.begin(), t.begin() + static_cast<ptrdiff_t>(n), out.begin());
+    std::copy(t, t + n, out);
   }
 }
 
 MontgomeryCtx::Elem MontgomeryCtx::ToMont(const BigNum& a) const {
-  BigNum r = BigNum::Mod(a, m_);
-  Elem e(n_, 0);
-  std::copy(r.limbs_.begin(), r.limbs_.end(), e.begin());
-  Elem out;
-  MulMont(e, rr_, out);
-  return out;
+  Elem e(n_);
+  BigNum::Mod(a, m_).ToWords(e.data(), n_);
+  MulMont(e.data(), rr_.data(), e.data());
+  return e;
 }
 
-BigNum MontgomeryCtx::FromMont(const Elem& a) const {
+BigNum MontgomeryCtx::FromMont(const uint64_t* a) const {
   Elem unit(n_, 0);
   unit[0] = 1;
-  Elem out;
-  MulMont(a, unit, out);
-  BigNum r;
-  r.limbs_.assign(out.begin(), out.end());
-  r.Normalize();
-  return r;
-}
-
-MontgomeryCtx::WindowTable MontgomeryCtx::Precompute(const BigNum& base) const {
-  WindowTable table(16);
-  table[0] = one_;
-  table[1] = ToMont(base);
-  for (size_t i = 2; i < 16; ++i) {
-    MulMont(table[i - 1], table[1], table[i]);
-  }
-  return table;
+  MulMont(a, unit.data(), unit.data());
+  return BigNum::FromWords(unit.data(), n_);
 }
 
 BigNum MontgomeryCtx::ModExp(const BigNum& base, const BigNum& exp) const {
   if (exp.IsZero()) {
-    return BigNum::Mod(BigNum(1), m_);
+    return BigNum(1);  // m > 1
   }
-  return ModExp(Precompute(base), exp);
+  return ExpWindows(ToMont(base).data(), exp);
 }
 
-BigNum MontgomeryCtx::ModExp(const WindowTable& base, const BigNum& exp) const {
-  if (exp.IsZero()) {
-    return BigNum::Mod(BigNum(1), m_);
+BigNum MontgomeryCtx::ExpWindows(const uint64_t* base,
+                                 const BigNum& exp) const {
+  const size_t n = n_;
+  // table[d] = base^d, d = 0..15, one element after another.
+  Elem table(16 * n);
+  std::copy(one_.begin(), one_.end(), table.begin());
+  std::copy(base, base + n, table.begin() + static_cast<ptrdiff_t>(n));
+  for (size_t d = 2; d < 16; ++d) {
+    MulMont(&table[(d - 1) * n], base, &table[d * n]);
   }
   const size_t windows = (exp.BitLength() + 3) / 4;
   // The top window holds the exponent's most significant set bit, so it
   // seeds the accumulator without leading squarings.
-  Elem acc = base[Window4(exp, windows - 1)];
+  const size_t top = Window4(exp, windows - 1);
+  Elem acc(table.begin() + static_cast<ptrdiff_t>(top * n),
+           table.begin() + static_cast<ptrdiff_t>((top + 1) * n));
   for (size_t w = windows - 1; w-- > 0;) {
     for (int s = 0; s < 4; ++s) {
-      MulMont(acc, acc, acc);
+      MulMont(acc.data(), acc.data(), acc.data());
     }
     unsigned d = Window4(exp, w);
     if (d != 0) {
-      MulMont(acc, base[d], acc);
+      MulMont(acc.data(), &table[d * n], acc.data());
     }
   }
-  return FromMont(acc);
+  return FromMont(acc.data());
 }
 
-BigNum MontgomeryCtx::ModExpDouble(const BigNum& a, const BigNum& ea,
-                                   const BigNum& b, const BigNum& eb) const {
-  WindowTable ta, tb;
-  if (!ea.IsZero()) {
-    ta = Precompute(a);
-  }
-  if (!eb.IsZero()) {
-    tb = Precompute(b);
-  }
-  return ExpDoubleWithTables(ea.IsZero() ? nullptr : &ta, ea,
-                             eb.IsZero() ? nullptr : &tb, eb);
-}
-
-BigNum MontgomeryCtx::ModExpDouble(const WindowTable& a, const BigNum& ea,
-                                   const WindowTable& b,
-                                   const BigNum& eb) const {
-  return ExpDoubleWithTables(ea.IsZero() ? nullptr : &a, ea,
-                             eb.IsZero() ? nullptr : &b, eb);
-}
-
-BigNum MontgomeryCtx::ExpDoubleWithTables(const WindowTable* ta,
-                                          const BigNum& ea,
-                                          const WindowTable* tb,
-                                          const BigNum& eb) const {
-  if (ta == nullptr && tb == nullptr) {
-    return BigNum::Mod(BigNum(1), m_);  // 1 * 1 mod m
-  }
-  const size_t bits = std::max(ea.BitLength(), eb.BitLength());
-  const size_t windows = (bits + 3) / 4;
-  Elem acc = one_;
-  for (size_t w = windows; w-- > 0;) {
-    if (w != windows - 1) {
-      for (int s = 0; s < 4; ++s) {
-        MulMont(acc, acc, acc);
+MontgomeryCtx::Comb MontgomeryCtx::BuildComb(const BigNum& base,
+                                             size_t exp_bits) const {
+  const size_t n = n_;
+  constexpr size_t kEntries = size_t{1} << kCombRows;
+  Comb comb;
+  comb.cols_ = std::max<size_t>(1, (exp_bits + kCombRows - 1) / kCombRows);
+  comb.table_.resize(kEntries * n);
+  uint64_t* t = comb.table_.data();
+  std::copy(one_.begin(), one_.end(), t);
+  // Row bases: entry 2^r = base^(2^(r cols)), by cols squarings each.
+  Elem row = ToMont(base);
+  for (size_t r = 0; r < kCombRows; ++r) {
+    if (r > 0) {
+      for (size_t s = 0; s < comb.cols_; ++s) {
+        MulMont(row.data(), row.data(), row.data());
       }
     }
-    unsigned da = ta != nullptr ? Window4(ea, w) : 0;
-    if (da != 0) {
-      MulMont(acc, (*ta)[da], acc);
+    std::copy(row.begin(), row.end(), t + (size_t{1} << r) * n);
+  }
+  // Every other entry: the entry without its top row times that row.
+  for (size_t i = 3; i < kEntries; ++i) {
+    size_t high = 1;
+    while (high * 2 <= i) {
+      high *= 2;
     }
-    unsigned db = tb != nullptr ? Window4(eb, w) : 0;
-    if (db != 0) {
-      MulMont(acc, (*tb)[db], acc);
+    if (i != high) {
+      MulMont(t + (i - high) * n, t + high * n, t + i * n);
     }
   }
-  return FromMont(acc);
+  return comb;
+}
+
+BigNum MontgomeryCtx::ModExp(const Comb& base, const BigNum& exp) const {
+  if (exp.IsZero()) {
+    return BigNum(1);  // m > 1
+  }
+  if (exp.BitLength() > base.max_exp_bits()) {
+    return ExpWindows(base.table_.data() + n_, exp);  // entry 1 is base
+  }
+  // One base is two with the second exponent zero, which never multiplies.
+  return ModExpDouble(base, exp, base, BigNum());
+}
+
+BigNum MontgomeryCtx::ModExpDouble(const Comb& a, const BigNum& ea,
+                                   const Comb& b, const BigNum& eb) const {
+  const size_t n = n_;
+  if (a.cols_ != b.cols_ || ea.BitLength() > a.max_exp_bits() ||
+      eb.BitLength() > b.max_exp_bits()) {
+    Elem pa = ToMont(ModExp(a, ea));
+    Elem pb = ToMont(ModExp(b, eb));
+    MulMont(pa.data(), pb.data(), pa.data());
+    return FromMont(pa.data());
+  }
+  // Columns from the top; leading all-zero columns cost nothing.
+  Elem acc(n);
+  bool started = false;
+  auto times = [&](const Comb& comb, const BigNum& exp, size_t k) {
+    unsigned idx = CombColumn(exp, comb.cols_, k);
+    if (idx == 0) {
+      return;
+    }
+    const uint64_t* entry = comb.table_.data() + idx * n;
+    if (started) {
+      MulMont(acc.data(), entry, acc.data());
+    } else {
+      std::copy(entry, entry + n, acc.begin());
+      started = true;
+    }
+  };
+  for (size_t k = a.cols_; k-- > 0;) {
+    if (started) {
+      MulMont(acc.data(), acc.data(), acc.data());
+    }
+    times(a, ea, k);
+    times(b, eb, k);
+  }
+  if (!started) {
+    return BigNum(1);  // m > 1
+  }
+  return FromMont(acc.data());
 }
 
 Result<BigNum> BigNum::ModInverse(const BigNum& a, const BigNum& m) {
@@ -694,6 +747,97 @@ Result<BigNum> BigNum::ModInverse(const BigNum& a, const BigNum& m) {
     inv = Sub(m, inv);
   }
   return inv;
+}
+
+Result<BigNum> BigNum::ModInverseBinary(const BigNum& a, const BigNum& m) {
+  constexpr size_t kMaxWords = 8;
+  const size_t n = (m.limbs_.size() + 1) / 2;
+  if (!m.IsOdd() || m.BitLength() <= 1 || n > kMaxWords) {
+    return ModInverse(a, m);
+  }
+  // Invariants: x1 a = u and x2 a = v (mod m), 0 <= x1, x2 < m; gcd(u, v)
+  // = gcd(a, m), which is odd, so halving an even u or v keeps it. When u
+  // reaches 0, v is the gcd and x2 the inverse if that gcd is 1.
+  uint64_t u[kMaxWords] = {}, v[kMaxWords] = {}, x1[kMaxWords] = {1},
+           x2[kMaxWords] = {}, mw[kMaxWords] = {};
+  m.ToWords(mw, n);
+  Mod(a, m).ToWords(u, n);
+  std::copy(mw, mw + n, v);
+  auto is_zero = [n](const uint64_t* x) {
+    for (size_t i = 0; i < n; ++i) {
+      if (x[i] != 0) {
+        return false;
+      }
+    }
+    return true;
+  };
+  // x -= y over n words; returns the borrow.
+  auto sub = [n](uint64_t* x, const uint64_t* y) {
+    uint64_t borrow = 0;
+    for (size_t i = 0; i < n; ++i) {
+      U128 d = static_cast<U128>(x[i]) - y[i] - borrow;
+      x[i] = static_cast<uint64_t>(d);
+      borrow = static_cast<uint64_t>(d >> 64) & 1;
+    }
+    return borrow;
+  };
+  // x += y over n words; returns the carry.
+  auto add = [n](uint64_t* x, const uint64_t* y) {
+    uint64_t carry = 0;
+    for (size_t i = 0; i < n; ++i) {
+      U128 s = static_cast<U128>(x[i]) + y[i] + carry;
+      x[i] = static_cast<uint64_t>(s);
+      carry = static_cast<uint64_t>(s >> 64);
+    }
+    return carry;
+  };
+  // x >>= 1, shifting `top` in as the new high bit.
+  auto halve = [n](uint64_t* x, uint64_t top) {
+    for (size_t i = 0; i < n; ++i) {
+      uint64_t next = i + 1 < n ? x[i + 1] : top;
+      x[i] = (x[i] >> 1) | (next << 63);
+    }
+  };
+  // (value, coefficient): halve value while even, keeping coefficient
+  // times a congruent to it (an odd coefficient gets m added first).
+  auto strip_twos = [&](uint64_t* value, uint64_t* coef) {
+    while ((value[0] & 1) == 0) {
+      halve(value, 0);
+      uint64_t carry = (coef[0] & 1) ? add(coef, mw) : 0;
+      halve(coef, carry);
+    }
+  };
+  // coef = (coef - other) mod m.
+  auto sub_mod = [&](uint64_t* coef, const uint64_t* other) {
+    if (sub(coef, other)) {
+      add(coef, mw);
+    }
+  };
+  while (!is_zero(u)) {
+    strip_twos(u, x1);
+    strip_twos(v, x2);
+    // u and v are both odd here; the larger loses the smaller.
+    bool u_ge_v = true;
+    for (size_t i = n; i-- > 0;) {
+      if (u[i] != v[i]) {
+        u_ge_v = u[i] > v[i];
+        break;
+      }
+    }
+    if (u_ge_v) {
+      sub(u, v);
+      sub_mod(x1, x2);
+    } else {
+      sub(v, u);
+      sub_mod(x2, x1);
+    }
+  }
+  if (v[0] != 1 || !std::all_of(v + 1, v + n, [](uint64_t w) {
+        return w == 0;
+      })) {
+    return InvalidArgumentError("not invertible: gcd != 1");
+  }
+  return FromWords(x2, n);
 }
 
 BigNum BigNum::Gcd(const BigNum& a, const BigNum& b) {

@@ -5,6 +5,7 @@
 // are non-negative; subtraction requires a >= b. Division is Knuth vol.2
 // Algorithm D. This is deliberately a small, auditable bignum — enough for
 // 1024-bit DSA/DH at benchmark-friendly speed, not a general math library.
+// Modular exponentiation runs in MontgomeryCtx below, on 64-bit words.
 #ifndef DISCFS_SRC_CRYPTO_BIGNUM_H_
 #define DISCFS_SRC_CRYPTO_BIGNUM_H_
 
@@ -61,8 +62,8 @@ class BigNum {
   static BigNum ShiftRight(const BigNum& a, size_t bits);
 
   // (a * b) mod m, (a ^ e) mod m. Require !m.IsZero(). ModExp routes odd
-  // moduli through a MontgomeryCtx (CIOS multiply, no division in the hot
-  // loop) and falls back to ModExpReference for even moduli.
+  // moduli through a MontgomeryCtx and falls back to ModExpReference for
+  // even moduli.
   static BigNum ModMul(const BigNum& a, const BigNum& b, const BigNum& m);
   static BigNum ModExp(const BigNum& base, const BigNum& exp, const BigNum& m);
   // Pre-Montgomery implementation (4-bit windows over ModMul's schoolbook
@@ -70,13 +71,13 @@ class BigNum {
   // equivalence-test and benchmark reference.
   static BigNum ModExpReference(const BigNum& base, const BigNum& exp,
                                 const BigNum& m);
-  // g^u1 * y^u2 mod m in ~one exponentiation (Shamir's trick: one shared
-  // squaring chain, per-base 4-bit windows). The DSA-verify shape.
-  static BigNum ModExpDouble(const BigNum& g, const BigNum& u1,
-                             const BigNum& y, const BigNum& u2,
-                             const BigNum& m);
-  // Modular inverse; error if gcd(a, m) != 1.
+  // Modular inverse; error if gcd(a, m) != 1. Extended Euclid over
+  // BigNum division; the reference for ModInverseBinary.
   static Result<BigNum> ModInverse(const BigNum& a, const BigNum& m);
+  // The same result and the same error as ModInverse, by binary extended
+  // Euclid on 64-bit words when m is odd and at most 512 bits wide (a DSA
+  // q); other moduli go through ModInverse.
+  static Result<BigNum> ModInverseBinary(const BigNum& a, const BigNum& m);
 
   static BigNum Gcd(const BigNum& a, const BigNum& b);
 
@@ -101,6 +102,10 @@ class BigNum {
   friend class MontgomeryCtx;
 
   void Normalize();
+  // The value as `words` little-endian 64-bit words (it must fit), and
+  // back.
+  void ToWords(uint64_t* out, size_t words) const;
+  static BigNum FromWords(const uint64_t* words, size_t n);
   // Knuth Algorithm D core shared by DivMod and Mod: returns the
   // remainder; fills *quotient when non-null (the hot reductions pass
   // null and skip materializing quotient limbs).
@@ -110,60 +115,88 @@ class BigNum {
   std::vector<uint32_t> limbs_;  // little-endian, no trailing zero limbs
 };
 
-// Montgomery-domain arithmetic for a fixed odd modulus: word-level CIOS
-// multiply + interleaved REDC, so a modular multiply is one fused
-// two-pass loop over the limbs instead of schoolbook multiply followed by
-// Knuth division. Construction is the only place that divides; everything
-// after is multiply/add/shift. Exponentiation uses 4-bit fixed windows;
-// Precompute() lets a caller pay the 16-entry table once per base and
-// amortize it across exponentiations (the DSA fixed-base g and per-key y).
+// Montgomery-domain arithmetic for a fixed odd modulus over 64-bit limbs
+// (BigNum keeps 32-bit limbs; an element here holds width() = ceil(|m| /
+// 64) words, R = 2^(64 width())). MulMont is word-level CIOS with
+// interleaved REDC and 128-bit products: one fused loop over the limbs,
+// its scratch on the stack for moduli up to kStackLimbs words (4096 bits)
+// and on the heap past that. Construction is the only place that divides.
+//
+// Two exponentiations:
+//  * ModExp(base, exp): 4-bit fixed windows, a 16-entry table per call.
+//    For bases that change every call (DH's peer value).
+//  * Fixed-base comb (Lim and Lee, CRYPTO '94; HAC 14.6.3 with v = 1):
+//    BuildComb(base, bits) splits an exponent of up to `bits` bits into
+//    kCombRows rows of cols = ceil(bits / kCombRows) bits and stores the
+//    2^kCombRows products of base^(2^(r cols)) over every subset of rows.
+//    ModExp(comb, exp) then costs cols - 1 squarings and at most cols
+//    multiplies, and ModExpDouble shares the squarings between two combs
+//    of one shape. A 160-bit DSA exponent takes 26 squarings and about 27
+//    multiplies per base, against 156 squarings and about 52 for windows.
+//    Building a comb costs (kCombRows - 1) cols squarings and 57
+//    multiplies; its table is 2^kCombRows elements.
 //
 // Thread-safe after construction: all methods are const and touch no
 // shared mutable state.
 class MontgomeryCtx {
  public:
-  // Montgomery-domain element: exactly `width()` little-endian limbs.
-  using Elem = std::vector<uint32_t>;
-  // base^0 .. base^15 in the Montgomery domain.
-  using WindowTable = std::vector<Elem>;
+  // Montgomery-domain element: exactly `width()` little-endian words.
+  using Elem = std::vector<uint64_t>;
 
-  // Fails unless m is odd and > 1 (REDC needs gcd(m, 2^32) == 1).
+  static constexpr size_t kStackLimbs = 64;
+  static constexpr size_t kCombRows = 6;
+
+  // A Lim-Lee comb for one base under one context. Only the context that
+  // built it may use it.
+  class Comb {
+   public:
+    Comb() = default;
+    // Widest exponent the comb covers; ModExp takes windows past it.
+    size_t max_exp_bits() const { return kCombRows * cols_; }
+
+   private:
+    friend class MontgomeryCtx;
+    size_t cols_ = 0;
+    // 2^kCombRows elements; entry i is the product of base^(2^(r cols))
+    // over the set bits r of i.
+    std::vector<uint64_t> table_;
+  };
+
+  // Fails unless m is odd and > 1 (REDC needs gcd(m, 2^64) == 1).
   static Result<MontgomeryCtx> Create(const BigNum& m);
 
   const BigNum& modulus() const { return m_; }
   size_t width() const { return n_; }
 
+  // base^exp mod m by 4-bit windows.
   BigNum ModExp(const BigNum& base, const BigNum& exp) const;
-  BigNum ModExp(const WindowTable& base, const BigNum& exp) const;
 
-  // a^ea * b^eb mod m with one shared squaring chain (Shamir's trick,
-  // per-base 4-bit windows): ~|exp| squarings + |exp|/2 multiplies, versus
-  // 2*|exp| squarings for two separate exponentiations.
-  BigNum ModExpDouble(const BigNum& a, const BigNum& ea, const BigNum& b,
+  // A comb for `base`, sized for exponents of up to `exp_bits` bits.
+  Comb BuildComb(const BigNum& base, size_t exp_bits) const;
+  // base^exp mod m through the comb.
+  BigNum ModExp(const Comb& base, const BigNum& exp) const;
+  // a^ea * b^eb mod m, one squaring per column for both bases when the
+  // combs share a shape and both exponents fit; else two comb powers.
+  BigNum ModExpDouble(const Comb& a, const BigNum& ea, const Comb& b,
                       const BigNum& eb) const;
-  BigNum ModExpDouble(const WindowTable& a, const BigNum& ea,
-                      const WindowTable& b, const BigNum& eb) const;
 
-  WindowTable Precompute(const BigNum& base) const;
-
-  // Domain conversion (exposed for tests; exponentiation wraps these).
+  // Domain conversion and the kernel (exposed for tests and benches).
   Elem ToMont(const BigNum& a) const;
-  BigNum FromMont(const Elem& a) const;
-  // out = a * b * R^-1 mod m (CIOS). Aliasing out with a or b is fine.
-  void MulMont(const Elem& a, const Elem& b, Elem& out) const;
+  BigNum FromMont(const uint64_t* a) const;
+  // out = a * b * R^-1 mod m over width() words each. out may alias a
+  // or b. Allocates nothing up to kStackLimbs words.
+  void MulMont(const uint64_t* a, const uint64_t* b, uint64_t* out) const;
 
  private:
   explicit MontgomeryCtx(BigNum m);
 
-  // Core of ModExpDouble; either table pointer may be null when its
-  // exponent is zero.
-  BigNum ExpDoubleWithTables(const WindowTable* ta, const BigNum& ea,
-                             const WindowTable* tb, const BigNum& eb) const;
+  // base^exp for a Montgomery-form base, by 4-bit windows; exp > 0.
+  BigNum ExpWindows(const uint64_t* base, const BigNum& exp) const;
 
   BigNum m_;
-  size_t n_ = 0;        // limb width of every Elem
-  uint32_t n0inv_ = 0;  // -m^-1 mod 2^32
-  Elem m_limbs_;        // m, padded to n_
+  size_t n_ = 0;        // word width of every element
+  uint64_t n0inv_ = 0;  // -m^-1 mod 2^64
+  Elem m_words_;        // m
   Elem rr_;             // R^2 mod m (Montgomery form of R)
   Elem one_;            // R mod m   (Montgomery form of 1)
 };

@@ -9,9 +9,16 @@ DhKeyPair DhKeyPair::Generate(const DsaParams& params,
   return DhKeyPair(params, std::move(x));
 }
 
+BigNum DhKeyPair::Pow(const BigNum& base, const BigNum& e) const {
+  return group_ != nullptr ? group_->mont_p().ModExp(base, e)
+                           : BigNum::ModExp(base, e, params_.p);
+}
+
 Bytes DhKeyPair::PublicValue() const {
   size_t width = params_.p.ToBytes().size();
-  return BigNum::ModExp(params_.g, x_, params_.p).ToBytes(width);
+  BigNum y = group_ != nullptr ? group_->PowG(x_)
+                               : BigNum::ModExp(params_.g, x_, params_.p);
+  return y.ToBytes(width);
 }
 
 Result<Bytes> DhKeyPair::SharedSecret(const Bytes& peer_public) const {
@@ -22,12 +29,11 @@ Result<Bytes> DhKeyPair::SharedSecret(const Bytes& peer_public) const {
     return InvalidArgumentError("DH peer value out of range");
   }
   // Subgroup membership: y^q == 1 (mod p).
-  if (BigNum::Compare(BigNum::ModExp(y, params_.q, params_.p), BigNum(1)) !=
-      0) {
+  if (BigNum::Compare(Pow(y, params_.q), BigNum(1)) != 0) {
     return InvalidArgumentError("DH peer value not in order-q subgroup");
   }
   size_t width = params_.p.ToBytes().size();
-  return BigNum::ModExp(y, x_, params_.p).ToBytes(width);
+  return Pow(y, x_).ToBytes(width);
 }
 
 }  // namespace discfs

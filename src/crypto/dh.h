@@ -1,10 +1,17 @@
 // Finite-field Diffie-Hellman over the order-q subgroup of a DSA group.
 // Used by the secure-channel handshake (the IKE stand-in): each side sends a
 // DSA-signed ephemeral public value; the shared secret feeds HKDF.
+//
+// A pair takes its group's GroupContext (groups.h) once, at construction:
+// PublicValue raises g through the group's comb, and SharedSecret's two
+// exponentiations (the subgroup check y^q and the secret y^x) use the
+// group's Montgomery context by 4-bit windows. A group without a context
+// takes the generic BigNum::ModExp.
 #ifndef DISCFS_SRC_CRYPTO_DH_H_
 #define DISCFS_SRC_CRYPTO_DH_H_
 
 #include <functional>
+#include <memory>
 
 #include "src/crypto/bignum.h"
 #include "src/crypto/groups.h"
@@ -37,10 +44,16 @@ class DhKeyPair {
 
  private:
   DhKeyPair(DsaParams params, BigNum x)
-      : params_(std::move(params)), x_(std::move(x)) {}
+      : params_(std::move(params)),
+        x_(std::move(x)),
+        group_(GetGroupContext(params_)) {}
+
+  // base^e mod p on the group's context when it has one.
+  BigNum Pow(const BigNum& base, const BigNum& e) const;
 
   DsaParams params_;
   BigNum x_;
+  std::shared_ptr<const GroupContext> group_;  // null: generic ModExp
 };
 
 }  // namespace discfs

@@ -1,12 +1,9 @@
 #include "src/crypto/dsa.h"
 
-#include <cassert>
-#include <mutex>
-#include <unordered_map>
-
 #include "src/crypto/hmac.h"
 #include "src/crypto/sha.h"
 #include "src/util/hex.h"
+#include "src/util/lru.h"
 #include "src/util/strings.h"
 
 namespace discfs {
@@ -55,13 +52,13 @@ BigNum DigestToBigNum(const Bytes& digest, const BigNum& q) {
 }
 
 // Computes (u1, u2) from the digest and signature, rejecting malformed
-// signatures. Shared by the fast (precomputed-table) and generic paths.
+// signatures. Shared by the context and generic paths.
 bool ComputeVerifyExponents(const Bytes& digest, const DsaSignature& sig,
                             const BigNum& q, BigNum* u1, BigNum* u2) {
   if (sig.r.IsZero() || sig.s.IsZero() || sig.r >= q || sig.s >= q) {
     return false;
   }
-  auto w_or = BigNum::ModInverse(sig.s, q);
+  auto w_or = BigNum::ModInverseBinary(sig.s, q);
   if (!w_or.ok()) {
     return false;
   }
@@ -74,100 +71,81 @@ bool ComputeVerifyExponents(const Bytes& digest, const DsaSignature& sig,
 
 }  // namespace
 
-DsaVerifyContext::DsaVerifyContext(DsaParams params, MontgomeryCtx mont_p)
-    : params_(std::move(params)), mont_p_(std::move(mont_p)) {}
-
 Result<DsaVerifyContext> DsaVerifyContext::Create(const DsaPublicKey& key) {
-  ASSIGN_OR_RETURN(MontgomeryCtx mont_p, MontgomeryCtx::Create(key.params().p));
-  DsaVerifyContext ctx(key.params(), std::move(mont_p));
-  ctx.g_table_ = ctx.mont_p_.Precompute(ctx.params_.g);
-  ctx.y_table_ = ctx.mont_p_.Precompute(key.y());
+  std::shared_ptr<const GroupContext> group = GetGroupContext(key.params());
+  if (group == nullptr) {
+    return InvalidArgumentError("no group context for the key's parameters");
+  }
+  DsaVerifyContext ctx(std::move(group));
+  ctx.y_comb_ = ctx.group_->mont_p().BuildComb(
+      key.y(), key.params().q.BitLength());
   return ctx;
 }
 
 bool DsaVerifyContext::Verify(const Bytes& digest,
                               const DsaSignature& sig) const {
+  const BigNum& q = group_->params().q;
   BigNum u1, u2;
-  if (!ComputeVerifyExponents(digest, sig, params_.q, &u1, &u2)) {
+  if (!ComputeVerifyExponents(digest, sig, q, &u1, &u2)) {
     return false;
   }
-  BigNum v =
-      BigNum::Mod(mont_p_.ModExpDouble(g_table_, u1, y_table_, u2), params_.q);
+  BigNum v = BigNum::Mod(
+      group_->mont_p().ModExpDouble(group_->g_comb(), u1, y_comb_, u2), q);
   return BigNum::Compare(v, sig.r) == 0;
 }
 
 namespace {
 
-// Sharded context cache. Keys are long-lived (server key, authorizers),
-// so a small per-shard bound with wholesale eviction on overflow is
-// enough: rebuilding a context costs two 16-entry table fills, and the
-// bound only exists so a flood of throwaway keys cannot grow the map
-// without limit.
-class VerifyContextCache {
- public:
-  static VerifyContextCache& Get() {
-    static VerifyContextCache* cache = new VerifyContextCache();
-    return *cache;
-  }
+using VerifyCache =
+    ShardedLru<Sha256Digest, std::shared_ptr<const DsaVerifyContext>,
+               Sha256Digest::Hash>;
 
-  std::shared_ptr<const DsaVerifyContext> Lookup(const DsaPublicKey& key) {
-    Bytes id = Sha256::Hash(key.Serialize());
-    std::string map_key(id.begin(), id.end());
-    Shard& shard = shards_[static_cast<size_t>(
-        static_cast<uint8_t>(map_key[0])) % kShards];
-    {
-      std::lock_guard<std::mutex> lock(shard.mu);
-      auto it = shard.entries.find(map_key);
-      if (it != shard.entries.end()) {
-        return it->second;
-      }
-    }
-    // Build outside the lock; concurrent builders for the same key both
-    // produce correct contexts and one insert wins.
-    auto built = DsaVerifyContext::Create(key);
-    if (!built.ok()) {
-      return nullptr;
-    }
-    auto ctx = std::make_shared<const DsaVerifyContext>(std::move(*built));
-    std::lock_guard<std::mutex> lock(shard.mu);
-    if (shard.entries.size() >= kPerShardCap) {
-      shard.entries.clear();
-    }
-    return shard.entries.emplace(std::move(map_key), std::move(ctx))
-        .first->second;
-  }
-
- private:
-  static constexpr size_t kShards = 8;
-  static constexpr size_t kPerShardCap = 64;
-  struct Shard {
-    std::mutex mu;
-    std::unordered_map<std::string,
-                       std::shared_ptr<const DsaVerifyContext>>
-        entries;
-  };
-  Shard shards_[kShards];
-};
+VerifyCache& VerifyContexts() {
+  static VerifyCache* cache = new VerifyCache(kVerifyContextCacheSize, 32);
+  return *cache;
+}
 
 }  // namespace
 
+size_t CachedVerifyContexts() { return VerifyContexts().size(); }
+
 std::shared_ptr<const DsaVerifyContext> GetVerifyContext(
     const DsaPublicKey& key) {
-  return VerifyContextCache::Get().Lookup(key);
+  VerifyCache* cache = &VerifyContexts();
+  Sha256 h;
+  h.Update(key.Serialize());
+  Sha256Digest id = h.FinishDigest();
+  std::shared_ptr<const DsaVerifyContext> found;
+  if (cache->Find(id, [&found](const auto& ctx) {
+        found = ctx;
+        return true;
+      })) {
+    return found;
+  }
+  // Built outside the cache's lock; of two racing builders, the first
+  // insert wins and both return it.
+  Result<DsaVerifyContext> built = DsaVerifyContext::Create(key);
+  if (!built.ok()) {
+    return nullptr;
+  }
+  return cache->Insert(
+      id, std::make_shared<const DsaVerifyContext>(std::move(built).value()));
 }
 
 bool DsaPublicKey::Verify(const Bytes& digest, const DsaSignature& sig) const {
   if (std::shared_ptr<const DsaVerifyContext> ctx = GetVerifyContext(*this)) {
     return ctx->Verify(digest, sig);
   }
-  // Degenerate parameters (even p): generic double-exponentiation, which
-  // itself falls back to the reference ModExp for even moduli.
+  // No group context (an even, too wide or malformed group): two generic
+  // exponentiations, which fall back to the reference for even moduli.
   BigNum u1, u2;
   if (!ComputeVerifyExponents(digest, sig, params_.q, &u1, &u2)) {
     return false;
   }
-  BigNum v = BigNum::Mod(
-      BigNum::ModExpDouble(params_.g, u1, y_, u2, params_.p), params_.q);
+  const BigNum& p = params_.p;
+  BigNum v = BigNum::Mod(BigNum::ModMul(BigNum::ModExp(params_.g, u1, p),
+                                        BigNum::ModExp(y_, u2, p), p),
+                         params_.q);
   return BigNum::Compare(v, sig.r) == 0;
 }
 
@@ -213,9 +191,13 @@ std::string DsaPublicKey::KeyId() const {
 }
 
 DsaPrivateKey::DsaPrivateKey(DsaParams params, BigNum x)
-    : params_(params), x_(std::move(x)) {
-  BigNum y = BigNum::ModExp(params_.g, x_, params_.p);
-  public_key_ = DsaPublicKey(std::move(params), std::move(y));
+    : params_(params), x_(std::move(x)), group_(GetGroupContext(params_)) {
+  public_key_ = DsaPublicKey(std::move(params), PowG(x_));
+}
+
+BigNum DsaPrivateKey::PowG(const BigNum& e) const {
+  return group_ != nullptr ? group_->PowG(e)
+                           : BigNum::ModExp(params_.g, e, params_.p);
 }
 
 DsaPrivateKey DsaPrivateKey::Generate(
@@ -252,9 +234,7 @@ Result<DsaPrivateKey> DsaPrivateKey::Deserialize(const Bytes& data) {
 }
 
 DsaSignature DsaPrivateKey::Sign(const Bytes& digest) const {
-  const BigNum& p = params_.p;
   const BigNum& q = params_.q;
-  const BigNum& g = params_.g;
   BigNum z = DigestToBigNum(digest, q);
   Bytes x_bytes = x_.ToBytes(q.ToBytes().size());
 
@@ -270,11 +250,11 @@ DsaSignature DsaPrivateKey::Sign(const Bytes& digest) const {
     if (k.IsZero()) {
       continue;
     }
-    BigNum r = BigNum::Mod(BigNum::ModExp(g, k, p), q);
+    BigNum r = BigNum::Mod(PowG(k), q);
     if (r.IsZero()) {
       continue;
     }
-    auto k_inv = BigNum::ModInverse(k, q);
+    auto k_inv = BigNum::ModInverseBinary(k, q);
     if (!k_inv.ok()) {
       continue;
     }

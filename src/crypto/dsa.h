@@ -1,5 +1,9 @@
 // DSA signatures (FIPS 186 style) with deterministic per-message nonces
-// (HMAC-SHA256-derived, in the spirit of RFC 6979).
+// (HMAC-SHA256-derived, in the spirit of RFC 6979). Every exponentiation
+// in a group with a GroupContext (groups.h) runs on 64-bit Montgomery
+// limbs and fixed-base combs: key generation and Sign raise g through the
+// group's comb, Verify uses a per-key DsaVerifyContext, and both inverses
+// mod q use BigNum::ModInverseBinary.
 //
 // KeyNote principals in DisCFS are DSA public keys; credentials carry
 // "sig-dsa-sha1-hex:" signatures over their canonical body (RFC 2704).
@@ -23,33 +27,39 @@ struct DsaSignature {
 
 class DsaPublicKey;
 
-// Precomputed verification state for one public key: a Montgomery context
-// for p plus fixed-base 4-bit window tables for g and y. Verify computes
-// g^u1 * y^u2 through one Shamir double-exponentiation over those tables,
-// so repeated verifies against the same authorizer pay the table fill
-// once. Immutable after construction; safe to share across threads.
+// Precomputed verification state for one public key: its group's
+// context (the Montgomery context for p and the comb for g) plus a comb
+// of the same shape for y. Verify computes g^u1 * y^u2 over one shared
+// chain of about |q| / kCombRows squarings: at 1024/160 that is 26
+// squarings and about 53 multiplies. Building the y comb costs about 192
+// multiplies, so a context pays for itself from the second verify under
+// its key. Immutable after construction; safe to share across threads.
 class DsaVerifyContext {
  public:
-  // Fails when p is unusable for Montgomery arithmetic (even or <= 1);
+  // Fails when the key's group has no GroupContext (an even p, a p wider
+  // than GroupContext::kMaxPBits, or a q that is zero or wider than p);
   // callers fall back to the generic verify path.
   static Result<DsaVerifyContext> Create(const DsaPublicKey& key);
 
   bool Verify(const Bytes& digest, const DsaSignature& sig) const;
 
  private:
-  DsaVerifyContext(DsaParams params, MontgomeryCtx mont_p);
+  explicit DsaVerifyContext(std::shared_ptr<const GroupContext> group)
+      : group_(std::move(group)) {}
 
-  DsaParams params_;
-  MontgomeryCtx mont_p_;
-  MontgomeryCtx::WindowTable g_table_;
-  MontgomeryCtx::WindowTable y_table_;
+  std::shared_ptr<const GroupContext> group_;
+  MontgomeryCtx::Comb y_comb_;
 };
 
-// Process-wide sharded cache of verify contexts, keyed by the key's full
-// serialized SHA-256. Lazily builds on first use; bounded per shard.
-// Returns null when a context cannot be built for the key's parameters.
+// Process-wide cache of verify contexts: an LRU of kVerifyContextCacheSize
+// keys over ShardCount(size, 32) shards, keyed by the SHA-256 of the key's
+// serialization. Lazily builds on first use. Returns null when a context
+// cannot be built for the key's parameters.
+inline constexpr size_t kVerifyContextCacheSize = 256;
 std::shared_ptr<const DsaVerifyContext> GetVerifyContext(
     const DsaPublicKey& key);
+// How many contexts that cache holds now.
+size_t CachedVerifyContexts();
 
 class DsaPublicKey {
  public:
@@ -98,6 +108,8 @@ class DsaPrivateKey {
   // key-wrap primitive runs DH with it against an ephemeral sender value.
   const BigNum& x() const { return x_; }
 
+  // k comes from HMAC-SHA256(x, digest), so a signature is a function of
+  // the key and digest alone. g^k is raised through the group's comb.
   DsaSignature Sign(const Bytes& digest) const;
 
   // Key-file serialization: length-prefixed (p, q, g, x). Treat the bytes
@@ -106,9 +118,13 @@ class DsaPrivateKey {
   static Result<DsaPrivateKey> Deserialize(const Bytes& data);
 
  private:
+  // g^e mod p, through the group's comb when the group has a context.
+  BigNum PowG(const BigNum& e) const;
+
   DsaParams params_;
   BigNum x_;
   DsaPublicKey public_key_;
+  std::shared_ptr<const GroupContext> group_;  // null: generic ModExp
 };
 
 // Signature wire form used in credentials: r || s, each padded to the byte

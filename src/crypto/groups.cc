@@ -1,7 +1,9 @@
 #include "src/crypto/groups.h"
 
 #include <cassert>
-#include <mutex>
+
+#include "src/crypto/sha.h"
+#include "src/util/lru.h"
 
 namespace discfs {
 namespace {
@@ -53,7 +55,74 @@ BigNum RandomInMillerRabinRange(const BigNum& n_minus_1,
   return BigNum::Add(r, BigNum(2));
 }
 
+// SHA-256 over length-prefixed p, q, g: the group cache's key.
+Sha256Digest ParamsDigest(const DsaParams& params) {
+  Sha256 h;
+  for (const BigNum* n : {&params.p, &params.q, &params.g}) {
+    Bytes b = n->ToBytes();
+    const uint8_t len[4] = {
+        static_cast<uint8_t>(b.size() >> 24),
+        static_cast<uint8_t>(b.size() >> 16),
+        static_cast<uint8_t>(b.size() >> 8), static_cast<uint8_t>(b.size())};
+    h.Update(len, sizeof(len));
+    h.Update(b);
+  }
+  return h.FinishDigest();
+}
+
 }  // namespace
+
+GroupContext::GroupContext(DsaParams params, MontgomeryCtx mont_p)
+    : params_(std::move(params)), mont_p_(std::move(mont_p)) {
+  g_comb_ = mont_p_.BuildComb(params_.g, params_.q.BitLength());
+}
+
+Result<GroupContext> GroupContext::Create(const DsaParams& params) {
+  if (params.p.BitLength() > kMaxPBits) {
+    return InvalidArgumentError("group p is wider than a context allows");
+  }
+  if (params.q.IsZero() || params.q.BitLength() > params.p.BitLength()) {
+    return InvalidArgumentError("group q is zero or wider than p");
+  }
+  ASSIGN_OR_RETURN(MontgomeryCtx mont_p, MontgomeryCtx::Create(params.p));
+  return GroupContext(params, std::move(mont_p));
+}
+
+namespace {
+
+using GroupCache = ShardedLru<Sha256Digest,
+                              std::shared_ptr<const GroupContext>,
+                              Sha256Digest::Hash>;
+
+GroupCache& Groups() {
+  static GroupCache* cache =
+      new GroupCache(kGroupContextCacheSize, kGroupContextCacheSize);
+  return *cache;
+}
+
+}  // namespace
+
+size_t CachedGroupContexts() { return Groups().size(); }
+
+std::shared_ptr<const GroupContext> GetGroupContext(const DsaParams& params) {
+  GroupCache* cache = &Groups();
+  Sha256Digest key = ParamsDigest(params);
+  std::shared_ptr<const GroupContext> found;
+  if (cache->Find(key, [&found](const auto& ctx) {
+        found = ctx;
+        return true;
+      })) {
+    return found;
+  }
+  // Built outside the cache's lock; of two racing builders, the first
+  // insert wins and both return it.
+  Result<GroupContext> built = GroupContext::Create(params);
+  if (!built.ok()) {
+    return nullptr;
+  }
+  return cache->Insert(
+      key, std::make_shared<const GroupContext>(std::move(built).value()));
+}
 
 const DsaParams& Dsa1024() {
   static const DsaParams* params =

@@ -205,7 +205,7 @@ void Sha256::Update(const uint8_t* data, size_t len) {
   }
 }
 
-Bytes Sha256::Finish() {
+void Sha256::FinishInto(uint8_t out[kDigestSize]) {
   uint64_t bit_len = total_len_ * 8;
   uint8_t pad = 0x80;
   Update(&pad, 1);
@@ -218,10 +218,20 @@ Bytes Sha256::Finish() {
   std::memcpy(buffer_ + 56, len_be, 8);
   Compress(buffer_);
   buffered_ = 0;
-  Bytes out(kDigestSize);
   for (int i = 0; i < 8; ++i) {
-    Store32BE(out.data() + 4 * i, h_[i]);
+    Store32BE(out + 4 * i, h_[i]);
   }
+}
+
+Bytes Sha256::Finish() {
+  Bytes out(kDigestSize);
+  FinishInto(out.data());
+  return out;
+}
+
+Sha256Digest Sha256::FinishDigest() {
+  Sha256Digest out;
+  FinishInto(out.bytes.data());
   return out;
 }
 

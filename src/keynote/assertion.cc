@@ -286,12 +286,15 @@ Result<Assertion> Assertion::Parse(std::string text) {
   if (!assertion.comment_.empty()) {
     canonical += "comment: " + assertion.comment_ + '\n';
   }
+  Sha256 h;
+  h.Update(canonical);
+  h.Update(assertion.signature_value_);
+  assertion.digest_ = h.FinishDigest();
   return assertion;
 }
 
 std::string Assertion::Id() const {
-  return HexEncode(Sha256::Hash(canonical_text_ + signature_value_))
-      .substr(0, 16);
+  return HexEncode(digest_.bytes.data(), 8);
 }
 
 Status Assertion::VerifySignature(VerifiedSignatureCache* cache) const {
@@ -318,25 +321,20 @@ Status Assertion::VerifySignature(VerifiedSignatureCache* cache) const {
     return InvalidArgumentError("unsupported signature algorithm: " + prefix);
   }
 
-  std::string signed_text =
-      text_.substr(0, signature_field_offset_) + prefix;
-  Bytes digest =
-      sha1 ? Sha1::Hash(signed_text) : Sha256::Hash(signed_text);
-
   // The cache is keyed by the *canonical* content rather than the signed
   // bytes: a hit proves a credential with identical semantics and this
   // exact signature passed the full verify below, so admitting a
   // re-serialized copy grants exactly the rights the verified original
   // did (and Id() is canonical too, so revocation covers every
   // serialization). The DSA path below still checks the raw signed bytes.
-  Bytes cache_key;
-  if (cache != nullptr) {
-    cache_key = VerifiedSignatureCache::MakeKey(
-        authorizer_, Sha256::Hash(canonical_text_), signature_value_);
-    if (cache->Contains(cache_key)) {
-      return OkStatus();
-    }
+  if (cache != nullptr && cache->Contains(digest_)) {
+    return OkStatus();
   }
+
+  std::string signed_text =
+      text_.substr(0, signature_field_offset_) + prefix;
+  Bytes digest =
+      sha1 ? Sha1::Hash(signed_text) : Sha256::Hash(signed_text);
 
   ASSIGN_OR_RETURN(DsaPublicKey key,
                    DsaPublicKey::FromKeyNoteString(authorizer_));
@@ -348,7 +346,7 @@ Status Assertion::VerifySignature(VerifiedSignatureCache* cache) const {
     return UnauthenticatedError("credential signature verification failed");
   }
   if (cache != nullptr) {
-    cache->Insert(cache_key);
+    cache->Insert(digest_);
   }
   return OkStatus();
 }

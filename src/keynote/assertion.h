@@ -67,20 +67,25 @@ class Assertion {
   bool is_policy() const { return authorizer_ == kPolicyPrincipal; }
   bool has_signature() const { return !signature_value_.empty(); }
 
-  // Stable identifier: hex SHA-256 prefix of the canonical text plus the
-  // signature. Used as the revocation handle — canonical (rather than raw)
-  // bytes so a re-serialized copy of a revoked credential maps to the same
-  // id and cannot slip past the revocation list.
+  // SHA-256 of the canonical text followed by the signature value,
+  // computed once at parse. Keys the verified-signature cache.
+  const Sha256Digest& digest() const { return digest_; }
+
+  // Stable identifier: the first 16 hex digits of digest(). Used as the
+  // revocation handle — canonical (rather than raw) bytes so a
+  // re-serialized copy of a revoked credential maps to the same id and
+  // cannot slip past the revocation list.
   std::string Id() const;
 
   // Checks that the Signature field verifies against the Authorizer key.
   // Fails for policy assertions (they are unsigned by definition) and for
   // authorizers that are not keys. With a cache, a previously verified
-  // (key, canonical content, sig) triple short-circuits before any bignum
-  // math — so a re-serialized copy of an admitted credential hits even
-  // though its raw bytes differ — and a fresh successful verify is
-  // recorded for next time. The DSA check itself always runs over the
-  // exact signed bytes; only the cache key is canonical.
+  // digest() short-circuits after the algorithm-prefix check and before
+  // any hashing or bignum math — so a re-serialized copy of an admitted
+  // credential hits even though its raw bytes differ — and a fresh
+  // successful verify is recorded for next time. The DSA check itself
+  // always runs over the exact signed bytes; only the cache key is
+  // canonical.
   Status VerifySignature(VerifiedSignatureCache* cache = nullptr) const;
 
   Assertion(Assertion&&) = default;
@@ -99,6 +104,7 @@ class Assertion {
   ConstantMap local_constants_;
   size_t signature_field_offset_ = 0;  // offset of the Signature field line
   std::string signature_value_;        // e.g. "sig-dsa-sha1-hex:302e..."
+  Sha256Digest digest_;
 };
 
 // Composes assertion text; Sign() produces a credential, BuildUnsigned() a

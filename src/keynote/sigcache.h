@@ -1,22 +1,33 @@
-// Sharded LRU set of signatures that have already verified, keyed by
-// H(authorizer key ‖ message digest ‖ signature). A hit proves the exact
-// same (key, digest, sig) triple passed a full DSA verify earlier, so a
-// re-submitted or replayed credential skips the double-exponentiation
-// entirely. Only *successful* verifies are inserted: a bit-flipped
-// signature or digest hashes to a different key, misses, and takes the
-// full (failing) verify path — the cache can never turn a rejection into
-// an acceptance.
+// Sharded LRU set of credentials whose signatures have already verified,
+// keyed by Assertion::digest(): the SHA-256 of the canonical text followed
+// by the signature value, computed once at parse (its first 16 hex digits
+// are Assertion::Id()). A hit proves a credential with the same canonical
+// content and this exact signature passed a full DSA verify earlier, so a
+// re-submitted or replayed credential skips the exponentiations entirely.
+// Only *successful* verifies are inserted: a bit-flipped signature or body
+// hashes to a different key, misses, and takes the full (failing) verify
+// path, so the cache can never turn a rejection into an acceptance.
+//
+// The plain concatenation cannot make two credentials share a key. Every
+// canonical text ends in a newline, no verified signature contains one,
+// and VerifySignature checks the algorithm prefix before the lookup. If
+// two (canonical, signature) pairs concatenated to the same bytes with
+// different canonical texts, the shorter text would be a prefix of the
+// longer, so the signature paired with it would begin with the rest of the
+// longer text, newline included. That signature never verified, so it is
+// not the cached one; and as the looked-up one, the text before its last
+// ':' is not an algorithm prefix, so it is rejected before the lookup.
 //
 // The set is a ShardedLru (src/util/lru.h) of ShardCount(capacity, 32)
-// shards, so it is internally synchronized: admission calls
-// Contains/Insert with no outer lock held.
+// shards with a fixed 32-byte key, so it is internally synchronized and a
+// lookup allocates nothing: admission calls Contains/Insert with no outer
+// lock held.
 #ifndef DISCFS_SRC_KEYNOTE_SIGCACHE_H_
 #define DISCFS_SRC_KEYNOTE_SIGCACHE_H_
 
 #include <cstdint>
-#include <string>
 
-#include "src/util/bytes.h"
+#include "src/crypto/sha.h"
 #include "src/util/lru.h"
 
 namespace discfs::keynote {
@@ -28,26 +39,20 @@ class VerifiedSignatureCache {
   // capacity 0 disables caching (every Contains misses, Insert drops).
   explicit VerifiedSignatureCache(size_t capacity);
 
-  // Digest of one verification instance: SHA-256 over the authorizer key
-  // string, a digest of the credential content (canonical, so equivalent
-  // re-serializations share a key), and the signature encoding
-  // (length-delimited, so no concatenation ambiguity).
-  static Bytes MakeKey(const std::string& authorizer, const Bytes& digest,
-                       const std::string& signature);
-
-  // True (and refreshes LRU position) when this exact triple verified
-  // before. Counts a hit or miss.
-  bool Contains(const Bytes& key);
+  // True (and refreshes LRU position) when the credential with this
+  // digest verified before. Counts a hit or miss.
+  bool Contains(const Sha256Digest& key);
 
   // Records a successful verification. Idempotent.
-  void Insert(const Bytes& key);
+  void Insert(const Sha256Digest& key);
 
   size_t size() const { return entries_.size(); }
   size_t shard_count() const { return entries_.shard_count(); }
   Stats stats() const { return entries_.stats(); }
 
  private:
-  ShardedLru<std::string, bool> entries_;  // the value is unused
+  ShardedLru<Sha256Digest, bool, Sha256Digest::Hash>
+      entries_;  // the value is unused
 };
 
 }  // namespace discfs::keynote

@@ -7,6 +7,9 @@
 //    holds whatever lock guards it. A hit moves the entry to the front
 //    with std::list::splice, which neither allocates nor frees; only
 //    inserting a new key allocates (one list node, one index node).
+//    RekeyColdest turns the coldest entry into a new key's warmest one,
+//    reusing both nodes and the value, so a full cache can take a miss
+//    without allocating.
 //  * ShardedLru hashes keys over ShardCount(capacity, min_per_shard)
 //    shards, each a mutex around an Lru holding capacity / shards entries,
 //    so lookups of unrelated keys do not serialize on one lock, and a cache
@@ -45,8 +48,6 @@ inline size_t ShardCount(size_t capacity, size_t min_per_shard) {
 template <typename K, typename V, typename Hash = std::hash<K>>
 class Lru {
  public:
-  using Item = std::pair<const K, V>;
-
   Lru() = default;
   // A copy's index would point into the source's list.
   Lru(const Lru&) = delete;
@@ -84,10 +85,25 @@ class Lru {
   }
 
   // The least recently used entry. The Lru must not be empty.
-  Item& Coldest() { return items_.back(); }
+  std::pair<const K&, V&> Coldest() {
+    return {items_.back().first, items_.back().second};
+  }
   void PopColdest() {
     index_.erase(items_.back().first);
     items_.pop_back();
+  }
+
+  // Gives the coldest entry the key `key`, which must be absent, makes it
+  // the warmest, and returns its value for the caller to refill. Reuses
+  // the entry's list node, index node (unordered_map::extract) and value.
+  // The Lru must not be empty.
+  V& RekeyColdest(K key) {
+    auto node = index_.extract(items_.back().first);
+    items_.splice(items_.begin(), items_, node.mapped());
+    items_.front().first = key;
+    node.key() = std::move(key);
+    index_.insert(std::move(node));
+    return items_.front().second;
   }
 
   // Calls fn(key, value) on each entry, coldest first, and erases those
@@ -113,6 +129,8 @@ class Lru {
   }
 
  private:
+  // The key is mutable only for RekeyColdest; the index holds a copy.
+  using Item = std::pair<K, V>;
   std::list<Item> items_;  // front = most recently used
   std::unordered_map<K, typename std::list<Item>::iterator, Hash> index_;
 };

@@ -339,6 +339,28 @@ TEST(BlockCacheTest, HitsDoNotAllocate) {
   EXPECT_EQ(news, 0u) << "allocations in 1,000 block-cache hits";
   EXPECT_EQ(cache.cache_stats().hits.load(), 1000u);
 
+  // At steady state a miss on the full shard reuses the coldest entry's
+  // buffer and nodes, whether that victim is clean or dirty.
+  std::vector<uint8_t> block(kBlockSize, 0x5A);
+  for (uint64_t b = 0; b < 8; ++b) {
+    ASSERT_TRUE(cache.Read(b, buf.data()).ok());
+  }
+  const uint64_t misses = cache.cache_stats().misses.load();
+  const uint64_t writebacks = cache.cache_stats().writebacks.load();
+  news = CountNews([&] {
+    for (int i = 0; i < 1000; ++i) {
+      const uint64_t b = 8 + static_cast<uint64_t>(i) % 56;
+      all_ok &= i % 3 == 0 ? cache.Write(b, block.data()).ok()
+                           : cache.Read(b, buf.data()).ok();
+    }
+  });
+  EXPECT_TRUE(all_ok);
+  EXPECT_EQ(news, 0u) << "allocations in 1,000 evicting misses";
+  EXPECT_EQ(cache.cache_stats().misses.load() - misses, 1000u);
+  EXPECT_GT(cache.cache_stats().writebacks.load() - writebacks, 0u);
+  ASSERT_TRUE(cache.Read(8 + 999 % 56, buf.data()).ok());
+  EXPECT_EQ(buf, block);  // the last write, resident in a reused buffer
+
   auto dev = std::make_shared<MemBlockDevice>(4096, 1024);
   FfsFormatOptions format;
   format.inode_count = 256;

@@ -291,32 +291,11 @@ TEST(BigNum, MontgomeryModExpMatchesReferenceRandom) {
   }
 }
 
-TEST(BigNum, ModExpDoubleMatchesSeparateExponentiations) {
-  Prng prng(37);
-  for (int iter = 0; iter < 100; ++iter) {
-    BigNum m = BigNum::FromBytes(prng.NextBytes(1 + prng.NextBelow(40)));
-    if (m.BitLength() <= 1) {
-      continue;
-    }
-    BigNum g = BigNum::FromBytes(prng.NextBytes(1 + prng.NextBelow(48)));
-    BigNum y = BigNum::FromBytes(prng.NextBytes(1 + prng.NextBelow(48)));
-    BigNum u1 = BigNum::FromBytes(prng.NextBytes(1 + prng.NextBelow(24)));
-    BigNum u2 = BigNum::FromBytes(prng.NextBytes(1 + prng.NextBelow(24)));
-    BigNum expected = BigNum::ModMul(BigNum::ModExpReference(g, u1, m),
-                                     BigNum::ModExpReference(y, u2, m), m);
-    EXPECT_EQ(BigNum::ModExpDouble(g, u1, y, u2, m), expected)
-        << "m=" << m.ToHex();
-  }
-}
-
 TEST(BigNum, ModExpEdgeCases) {
   BigNum odd = FromHexOrDie("10000000000000000000000001");  // odd, multi-limb
   // Exponent zero -> 1 mod m, on both paths.
   EXPECT_EQ(BigNum::ModExp(BigNum(5), BigNum(0), odd), BigNum(1));
   EXPECT_EQ(BigNum::ModExp(BigNum(5), BigNum(0), BigNum(2)), BigNum(1));
-  EXPECT_EQ(BigNum::ModExpDouble(BigNum(5), BigNum(0), BigNum(7), BigNum(0),
-                                 odd),
-            BigNum(1));
   // Base >= m reduces first.
   BigNum big_base = FromHexOrDie("ffffffffffffffffffffffffffffffff");
   EXPECT_EQ(BigNum::ModExp(big_base, BigNum(3), odd),
@@ -325,10 +304,6 @@ TEST(BigNum, ModExpEdgeCases) {
   EXPECT_TRUE(BigNum::ModExp(BigNum(0), BigNum(9), odd).IsZero());
   // Modulus one: everything collapses to zero.
   EXPECT_TRUE(BigNum::ModExp(BigNum(5), BigNum(3), BigNum(1)).IsZero());
-  // One exponent zero in the double form drops that base entirely.
-  EXPECT_EQ(
-      BigNum::ModExpDouble(BigNum(5), BigNum(0), BigNum(7), BigNum(3), odd),
-      BigNum::ModExpReference(BigNum(7), BigNum(3), odd));
 }
 
 TEST(MontgomeryCtxTest, RejectsEvenOrTrivialModulus) {
@@ -338,23 +313,174 @@ TEST(MontgomeryCtxTest, RejectsEvenOrTrivialModulus) {
   EXPECT_TRUE(MontgomeryCtx::Create(BigNum(3)).ok());
 }
 
-TEST(MontgomeryCtxTest, DomainRoundTripAndPrecompute) {
+// An odd modulus of exactly `limbs` 32-bit limbs; with `top_ones` its top
+// limb is all ones.
+BigNum RandomOddModulus(Prng& prng, size_t limbs, bool top_ones) {
+  Bytes raw = prng.NextBytes(4 * limbs);
+  raw[0] |= 0x80;
+  if (top_ones) {
+    for (size_t i = 0; i < 4; ++i) {
+      raw[i] = 0xff;
+    }
+  }
+  raw.back() |= 1;
+  return BigNum::FromBytes(raw);
+}
+
+BigNum AllOnes(size_t bits) {
+  return BigNum::Sub(BigNum::ShiftLeft(BigNum(1), bits), BigNum(1));
+}
+
+BigNum RandomBits(Prng& prng, size_t bits) {
+  return BigNum::ShiftRight(BigNum::FromBytes(prng.NextBytes((bits + 7) / 8)),
+                            (8 - bits % 8) % 8);
+}
+
+// The moduli every kernel test runs over: 1 to 70 32-bit limbs (both
+// parities of the limb count, so 64-bit words are full or half full), a
+// random and an all-ones top limb for each, and one 8,192-bit modulus,
+// which is wider than MulMont's stack scratch.
+std::vector<BigNum> KernelModuli(Prng& prng) {
+  std::vector<BigNum> moduli;
+  for (size_t limbs = 1; limbs <= 70; ++limbs) {
+    moduli.push_back(RandomOddModulus(prng, limbs, false));
+    moduli.push_back(RandomOddModulus(prng, limbs, true));
+  }
+  moduli.push_back(RandomOddModulus(prng, 256, false));
+  EXPECT_GT(moduli.back().BitLength(), 64 * MontgomeryCtx::kStackLimbs);
+  return moduli;
+}
+
+// The 64-bit multiply against ModMul's schoolbook multiply and Knuth
+// reduction, through the domain conversions.
+TEST(MontgomeryCtxTest, MulMontMatchesModMulRandom) {
+  Prng prng(43);
+  for (const BigNum& m : KernelModuli(prng)) {
+    auto ctx = MontgomeryCtx::Create(m);
+    ASSERT_TRUE(ctx.ok());
+    const size_t bits = m.BitLength();
+    for (const BigNum& a :
+         {RandomBits(prng, bits + 8), BigNum::Sub(m, BigNum(1)), BigNum(1),
+          BigNum()}) {
+      BigNum b = RandomBits(prng, bits);
+      MontgomeryCtx::Elem ma = ctx->ToMont(a);
+      MontgomeryCtx::Elem mb = ctx->ToMont(b);
+      EXPECT_EQ(ctx->FromMont(ma.data()), BigNum::Mod(a, m));
+      ctx->MulMont(ma.data(), mb.data(), ma.data());  // out aliases a
+      EXPECT_EQ(ctx->FromMont(ma.data()), BigNum::ModMul(a, b, m))
+          << "m=" << m.ToHex();
+      ctx->MulMont(mb.data(), mb.data(), mb.data());
+      EXPECT_EQ(ctx->FromMont(mb.data()), BigNum::ModMul(b, b, m))
+          << "m=" << m.ToHex();
+    }
+  }
+}
+
+// The windowed exponentiation, one comb and two combs over one squaring
+// chain, each against ModExpReference. Exponents: 0, 1, q - 1 for a
+// |q|-bit q, m - 1 where m is no wider than q, the comb's all-ones
+// maximum, one bit past the comb (which takes windows) and random. For
+// two bases, a zero exponent drops its base, and combs of different
+// shapes fall back to two comb powers. One set of reference powers
+// serves all three, so the reference runs once per modulus and exponent.
+TEST(MontgomeryCtxTest, ExponentiationsMatchReference) {
+  Prng prng(53);
+  for (const BigNum& m : KernelModuli(prng)) {
+    auto ctx = MontgomeryCtx::Create(m);
+    ASSERT_TRUE(ctx.ok());
+    const size_t qbits = m.BitLength() > 4096 ? 40 : 160;
+    BigNum a = RandomBits(prng, m.BitLength() + 8);  // a >= m reduces first
+    BigNum b = RandomBits(prng, m.BitLength());
+    MontgomeryCtx::Comb ca = ctx->BuildComb(a, qbits);
+    MontgomeryCtx::Comb cb = ctx->BuildComb(b, qbits);
+    MontgomeryCtx::Comb narrow = ctx->BuildComb(b, qbits / 2);
+    ASSERT_GE(ca.max_exp_bits(), qbits);
+    BigNum q = BigNum::Add(AllOnes(qbits - 1), BigNum(2));  // |q| bits
+    std::vector<BigNum> exps = {BigNum(), BigNum(1), BigNum::Sub(q, BigNum(1)),
+                                AllOnes(ca.max_exp_bits()),
+                                BigNum::ShiftLeft(BigNum(1), ca.max_exp_bits()),
+                                RandomBits(prng, qbits)};
+    if (m.BitLength() <= qbits) {
+      exps.push_back(BigNum::Sub(m, BigNum(1)));
+    }
+    const BigNum eb = RandomBits(prng, qbits);
+    const BigNum rb = BigNum::ModExpReference(b, eb, m);
+    const BigNum zero;
+    const BigNum one_mod_m = BigNum::Mod(BigNum(1), m);
+    for (const BigNum& ea : exps) {
+      const BigNum ra = BigNum::ModExpReference(a, ea, m);
+      EXPECT_EQ(ctx->ModExp(a, ea), ra)
+          << "windows m=" << m.ToHex() << " e=" << ea.ToHex();
+      EXPECT_EQ(ctx->ModExp(ca, ea), ra)
+          << "comb m=" << m.ToHex() << " e=" << ea.ToHex();
+      for (const auto& [e2, r2] : {std::pair<const BigNum*, const BigNum*>{
+                                       &eb, &rb},
+                                   {&zero, &one_mod_m}}) {
+        BigNum expected = BigNum::ModMul(ra, *r2, m);
+        EXPECT_EQ(ctx->ModExpDouble(ca, ea, cb, *e2), expected)
+            << "two combs m=" << m.ToHex() << " e=" << ea.ToHex();
+        EXPECT_EQ(ctx->ModExpDouble(cb, *e2, ca, ea), expected);
+        EXPECT_EQ(ctx->ModExpDouble(ca, ea, narrow, *e2), expected);
+      }
+    }
+  }
+}
+
+TEST(MontgomeryCtxTest, DomainRoundTripAndComb) {
   BigNum m = FromHexOrDie("f123456789abcdef123456789abcdef1");
   auto ctx = MontgomeryCtx::Create(m);
   ASSERT_TRUE(ctx.ok());
   Prng prng(41);
   for (int i = 0; i < 50; ++i) {
     BigNum a = BigNum::FromBytes(prng.NextBytes(1 + prng.NextBelow(20)));
-    EXPECT_EQ(ctx->FromMont(ctx->ToMont(a)), BigNum::Mod(a, m));
+    EXPECT_EQ(ctx->FromMont(ctx->ToMont(a).data()), BigNum::Mod(a, m));
   }
-  // A precomputed window table gives the same answers as the one-shot form.
+  // A comb gives the same answers as the one-shot windowed form.
   BigNum base = FromHexOrDie("deadbeefcafebabe");
-  MontgomeryCtx::WindowTable table = ctx->Precompute(base);
+  MontgomeryCtx::Comb comb = ctx->BuildComb(base, 160);
   for (int i = 0; i < 20; ++i) {
     BigNum exp = BigNum::FromBytes(prng.NextBytes(1 + prng.NextBelow(20)));
-    EXPECT_EQ(ctx->ModExp(table, exp), ctx->ModExp(base, exp));
-    EXPECT_EQ(ctx->ModExp(table, exp),
-              BigNum::ModExpReference(base, exp, m));
+    EXPECT_EQ(ctx->ModExp(comb, exp), ctx->ModExp(base, exp));
+    EXPECT_EQ(ctx->ModExp(comb, exp), BigNum::ModExpReference(base, exp, m));
+  }
+}
+
+// The binary inverse returns exactly what the reference returns, the
+// error when gcd != 1 included, for odd and even moduli of every width
+// up to past its 512-bit word path.
+TEST(BigNum, ModInverseBinaryMatchesModInverse) {
+  Prng prng(61);
+  size_t errors = 0;
+  for (int iter = 0; iter < 3000; ++iter) {
+    BigNum m = BigNum::FromBytes(prng.NextBytes(1 + prng.NextBelow(72)));
+    if (m.IsZero()) {
+      continue;
+    }
+    BigNum a = BigNum::FromBytes(prng.NextBytes(1 + prng.NextBelow(80)));
+    if (iter % 5 == 0) {
+      a = BigNum::Mul(a, BigNum(3 + 2 * prng.NextBelow(4)));  // shared factors
+    }
+    Result<BigNum> want = BigNum::ModInverse(a, m);
+    Result<BigNum> got = BigNum::ModInverseBinary(a, m);
+    ASSERT_EQ(got.ok(), want.ok()) << "a=" << a.ToHex() << " m=" << m.ToHex();
+    if (want.ok()) {
+      EXPECT_EQ(*got, *want) << "a=" << a.ToHex() << " m=" << m.ToHex();
+    } else {
+      EXPECT_EQ(got.status().code(), want.status().code());
+      ++errors;
+    }
+  }
+  EXPECT_GT(errors, 100u);
+  // Edges: zero, one, m - 1, a multiple of m, and the DSA q's extremes.
+  BigNum q = FromHexOrDie("f7ca0ba2e6a1d204f4791067630c6cc86edb2055");
+  for (const BigNum& a : {BigNum(), BigNum(1), BigNum::Sub(q, BigNum(1)),
+                          BigNum::Mul(q, BigNum(7)), BigNum(2)}) {
+    Result<BigNum> want = BigNum::ModInverse(a, q);
+    Result<BigNum> got = BigNum::ModInverseBinary(a, q);
+    ASSERT_EQ(got.ok(), want.ok()) << a.ToHex();
+    if (want.ok()) {
+      EXPECT_EQ(*got, *want);
+    }
   }
 }
 

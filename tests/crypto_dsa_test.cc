@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <optional>
+#include <thread>
+#include <vector>
+
 #include "src/crypto/dh.h"
 #include "src/crypto/groups.h"
 #include "src/crypto/sha.h"
+#include "src/util/hex.h"
 #include "src/util/prng.h"
 
 namespace discfs {
@@ -226,6 +232,203 @@ TEST(Dh, RejectsValueOutsideSubgroup) {
   if (BigNum::Compare(BigNum::ModExp(two, Dsa512().q, Dsa512().p),
                       BigNum(1)) != 0) {
     EXPECT_FALSE(a.SharedSecret(two.ToBytes(width)).ok());
+  }
+}
+
+// ----- group and verify contexts -----
+
+// Flips bit `bit` of n.
+BigNum FlipBit(const BigNum& n, size_t bit) {
+  BigNum mask = BigNum::ShiftLeft(BigNum(1), bit);
+  return n.Bit(bit) ? BigNum::Sub(n, mask) : BigNum::Add(n, mask);
+}
+
+// A key in a group nobody has used yet gets that group's context on first
+// use; it signs and verifies, and each one-bit flip of r, s or the digest
+// is rejected.
+TEST(GroupContexts, FreshGroupSignsVerifiesAndRejectsBitFlips) {
+  DsaParams group = GenerateDsaParams(512, 160, TestRand(301));
+  ASSERT_TRUE(ValidateDsaParams(group, TestRand(302)).ok());
+  DsaPrivateKey key = DsaPrivateKey::Generate(group, TestRand(303));
+  EXPECT_EQ(key.public_key().y(),
+            BigNum::ModExpReference(group.g, key.x(), group.p));
+  Bytes digest = Sha1::Hash("fresh group");
+  DsaSignature sig = key.Sign(digest);
+  ASSERT_TRUE(key.public_key().Verify(digest, sig));
+  for (size_t bit = 0; bit < 160; bit += 7) {
+    DsaSignature bad = sig;
+    bad.r = FlipBit(sig.r, bit);
+    EXPECT_FALSE(key.public_key().Verify(digest, bad)) << "r bit " << bit;
+    bad = sig;
+    bad.s = FlipBit(sig.s, bit);
+    EXPECT_FALSE(key.public_key().Verify(digest, bad)) << "s bit " << bit;
+    Bytes flipped = digest;
+    flipped[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+    EXPECT_FALSE(key.public_key().Verify(flipped, sig)) << "digest bit " << bit;
+  }
+  // DH in the fresh group agrees and matches the reference.
+  DhKeyPair a = DhKeyPair::Generate(group, TestRand(304));
+  DhKeyPair b = DhKeyPair::Generate(group, TestRand(305));
+  auto ab = a.SharedSecret(b.PublicValue());
+  auto ba = b.SharedSecret(a.PublicValue());
+  ASSERT_TRUE(ab.ok() && ba.ok());
+  EXPECT_EQ(*ab, *ba);
+}
+
+// Verifies under more distinct keys than the verify-context cache holds,
+// and in more distinct groups than the group cache holds: neither cache
+// grows past its bound, and every verify still answers correctly.
+TEST(GroupContexts, FloodOfKeysAndGroupsStaysBounded) {
+  Bytes digest = Sha1::Hash("flood");
+  auto rand = TestRand(311);
+  for (size_t i = 0; i < kVerifyContextCacheSize + 40; ++i) {
+    DsaPrivateKey key = DsaPrivateKey::Generate(Dsa512(), rand);
+    EXPECT_TRUE(key.public_key().Verify(digest, key.Sign(digest)));
+    ASSERT_LE(CachedVerifyContexts(), kVerifyContextCacheSize);
+  }
+  EXPECT_GT(CachedVerifyContexts(), kVerifyContextCacheSize / 2);
+  // Distinct odd p around the test group's: real contexts, fake groups.
+  for (uint64_t i = 1; i <= 2 * kGroupContextCacheSize; ++i) {
+    DsaParams fake = Dsa512();
+    fake.p = BigNum::Add(fake.p, BigNum(2 * i));
+    DsaPublicKey key(fake, BigNum(4));
+    DsaSignature sig{BigNum(5), BigNum(7)};
+    EXPECT_FALSE(key.Verify(digest, sig));
+    ASSERT_LE(CachedGroupContexts(), kGroupContextCacheSize);
+  }
+  EXPECT_EQ(CachedGroupContexts(), kGroupContextCacheSize);
+  // Groups a context is never built for take the generic path.
+  DsaParams wide = Dsa512();
+  wide.p = BigNum::Add(BigNum::ShiftLeft(BigNum(1), GroupContext::kMaxPBits),
+                       BigNum(1));
+  EXPECT_EQ(GetGroupContext(wide), nullptr);
+  DsaParams even = Dsa512();
+  even.p = BigNum::Add(even.p, BigNum(1));
+  EXPECT_EQ(GetGroupContext(even), nullptr);
+  EXPECT_FALSE(DsaVerifyContext::Create(DsaPublicKey(even, BigNum(4))).ok());
+}
+
+// Eight threads make first use of one fresh group's context and of eight
+// keys' verify contexts at once: each makes a key and a DH pair in the
+// group, signs, then verifies every thread's signature and computes a DH
+// secret with every thread. Run under TSAN by tools/run_tsan.sh.
+TEST(GroupContexts, ConcurrentFirstUseOfTheCaches) {
+  constexpr size_t kThreads = 8;
+  // No other test uses this group, so the threads below are its first use.
+  const DsaParams group = GenerateDsaParams(512, 160, TestRand(321));
+  const Bytes digest = Sha256::Hash("concurrent first use");
+  std::vector<std::optional<DsaPublicKey>> publics(kThreads);
+  std::vector<DsaSignature> sigs(kThreads);
+  std::vector<Bytes> dh_publics(kThreads);
+  std::vector<std::vector<Bytes>> secrets(kThreads,
+                                          std::vector<Bytes>(kThreads));
+  std::atomic<size_t> ready{0};
+  std::atomic<size_t> published{0};
+  std::atomic<size_t> failures{0};
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) {
+      }
+      DsaPrivateKey key = DsaPrivateKey::Generate(group, TestRand(340 + t));
+      DhKeyPair dh = DhKeyPair::Generate(group, TestRand(350 + t));
+      sigs[t] = key.Sign(digest);
+      publics[t] = key.public_key();
+      dh_publics[t] = dh.PublicValue();
+      published.fetch_add(1);
+      while (published.load() < kThreads) {
+      }
+      for (size_t o = 0; o < kThreads; ++o) {
+        if (!publics[o]->Verify(digest, sigs[o])) {
+          failures.fetch_add(1);
+        }
+        auto secret = dh.SharedSecret(dh_publics[o]);
+        if (!secret.ok()) {
+          failures.fetch_add(1);
+          continue;
+        }
+        secrets[t][o] = std::move(secret).value();
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  EXPECT_EQ(failures.load(), 0u);
+  for (size_t t = 0; t < kThreads; ++t) {
+    for (size_t o = 0; o < kThreads; ++o) {
+      EXPECT_EQ(secrets[t][o], secrets[o][t]) << t << " " << o;
+    }
+  }
+}
+
+// ----- golden values -----
+//
+// Recorded from the build before the 64-bit Montgomery kernel and the
+// combs, which must reproduce them bit for bit: signatures (deterministic
+// nonces), public keys, DH public values and shared secrets.
+
+std::string Sha256Hex(const Bytes& data) {
+  return HexEncode(Sha256::Hash(data));
+}
+
+struct GoldenGroup {
+  const char* name;
+  const DsaParams& params;
+  const char* public_y;     // SHA-256 of the public key's y
+  const char* first_r;      // r of the first signature, hex
+  const char* first_s;      // s of the first signature, hex
+  const char* signatures;   // SHA-256 over every signature's wire form
+  const char* dh_publics;   // SHA-256 over both DH public values
+  const char* dh_secret;    // SHA-256 of the shared secret
+};
+
+TEST(GoldenValues, SignaturesAndDhAreUnchanged) {
+  const GoldenGroup groups[] = {
+      {"512", Dsa512(),
+       "30f71b6c322fe3483e81295af95c1b4040135a278deab3a3471bde295f43b275",
+       "a7f9cb4be6965927bee494d721580bd975269aac",
+       "6e53baf164008f88387e36863fcd28830f3e16af",
+       "278ec4e41610682e1c0fa6fb2ad7b0c22f5a81885f4ccc6945c01219e7a9389b",
+       "3fc568e963daadcbd89e1c9bbf88e372a6a2214cefc3f8ebba2b1b680486b317",
+       "8c4852315ace171b1782b293c2c44de6c8705b5cfd0f6fbd5e3d9df54cbeae06"},
+      {"1024", Dsa1024(),
+       "07a8a780259cf068241b8e9fa3bd243a3ba065cc82869dcc9a1a6abc80353317",
+       "d1300f2469fb02a630a0c39fcdcaac9d53bda477",
+       "2bd95cd1a619da31b2182c358f1b89d37db88371",
+       "93dbcd47597af69c8220cddd6f6a6544f8eba8695fc73848d5adb875b677c6f0",
+       "fdbc421ae338164f499d53efe5c298a7545e31137837d3298bbc31294f1ca9ba",
+       "deef9f8413af743707708cc0eb9b0919b4be7bdbb9d7cc3ccd8858555f7f44d2"},
+  };
+  for (const GoldenGroup& g : groups) {
+    SCOPED_TRACE(g.name);
+    DsaPrivateKey key = DsaPrivateKey::Generate(g.params, TestRand(101));
+    EXPECT_EQ(Sha256Hex(key.public_key().y().ToBytes()), g.public_y);
+    Bytes all;
+    for (int i = 0; i < 8; ++i) {
+      std::string message = "golden " + std::to_string(i);
+      Bytes digest = i % 2 ? Sha256::Hash(message) : Sha1::Hash(message);
+      DsaSignature sig = key.Sign(digest);
+      if (i == 0) {
+        EXPECT_EQ(sig.r.ToHex(), g.first_r);
+        EXPECT_EQ(sig.s.ToHex(), g.first_s);
+      }
+      EXPECT_TRUE(key.public_key().Verify(digest, sig));
+      Append(all, SerializeDsaSignature(sig, g.params));
+    }
+    EXPECT_EQ(Sha256Hex(all), g.signatures);
+
+    DhKeyPair a = DhKeyPair::Generate(g.params, TestRand(102));
+    DhKeyPair b = DhKeyPair::Generate(g.params, TestRand(103));
+    Bytes publics = a.PublicValue();
+    Append(publics, b.PublicValue());
+    EXPECT_EQ(Sha256Hex(publics), g.dh_publics);
+    auto ab = a.SharedSecret(b.PublicValue());
+    auto ba = b.SharedSecret(a.PublicValue());
+    ASSERT_TRUE(ab.ok() && ba.ok());
+    EXPECT_EQ(*ab, *ba);
+    EXPECT_EQ(Sha256Hex(*ab), g.dh_secret);
   }
 }
 

@@ -280,6 +280,51 @@ TEST_F(AssertionTest, ReserializedCredentialSharesIdAndCacheKey) {
   EXPECT_NE(c->canonical_text(), a->canonical_text());
 }
 
+// The cache key is the digest of the canonical text followed by the
+// signature value, with no delimiter. A credential whose comment takes in
+// the start of its own signature, so that those bytes come as close as
+// they can to the genuine credential's, misses the cache and is rejected,
+// whether or not its signature keeps the algorithm prefix.
+TEST_F(AssertionTest, CommentAbsorbingItsSignatureMissesTheCache) {
+  auto text = AssertionBuilder()
+                  .SetAuthorizer(AdminKey())
+                  .SetLicensees("\"" + BobKey() + "\"")
+                  .SetConditions("app_domain == \"DisCFS\" -> \"R\";")
+                  .SetComment("c")
+                  .Sign(admin_, SignatureAlgorithm::kDsaSha1);
+  ASSERT_TRUE(text.ok()) << text.status();
+  const std::string prefix =
+      SignatureAlgorithmPrefix(SignatureAlgorithm::kDsaSha1);
+  const std::string sig_open = "Signature: \"" + prefix;
+  const size_t sig_pos = text->rfind(sig_open);
+  ASSERT_NE(sig_pos, std::string::npos);
+  // The body ends "Comment: c\n"; the signature line is the rest.
+  const std::string stem = text->substr(0, sig_pos - 1);
+  const std::string hex = text->substr(
+      sig_pos + sig_open.size(), text->size() - sig_pos - sig_open.size() - 2);
+  ASSERT_EQ(*text, stem + "\n" + sig_open + hex + "\"\n");
+
+  auto genuine = Assertion::Parse(*text);
+  ASSERT_TRUE(genuine.ok()) << genuine.status();
+  VerifiedSignatureCache cache(64);
+  ASSERT_TRUE(genuine->VerifySignature(&cache).ok());
+
+  for (size_t cut : {size_t{0}, size_t{1}, size_t{8}, hex.size() - 1}) {
+    for (const std::string& kept : {prefix, std::string()}) {
+      std::string forged = stem + " " + prefix + hex.substr(0, cut) +
+                           "\nSignature: \"" + kept + hex.substr(cut) +
+                           "\"\n";
+      auto a = Assertion::Parse(forged);
+      ASSERT_TRUE(a.ok()) << a.status();
+      EXPECT_NE(a->digest(), genuine->digest()) << cut;
+      EXPECT_FALSE(a->VerifySignature(&cache).ok()) << cut;
+    }
+  }
+  EXPECT_EQ(cache.stats().hits, 0u);
+  EXPECT_TRUE(genuine->VerifySignature(&cache).ok());
+  EXPECT_EQ(cache.stats().hits, 1u);
+}
+
 TEST_F(AssertionTest, BuilderLocalConstantsResolve) {
   auto text = AssertionBuilder()
                   .AddLocalConstant("ME", AdminKey())

@@ -6,11 +6,14 @@
 #include <thread>
 
 #include "src/crypto/groups.h"
+#include "src/crypto/sha.h"
 #include "src/discfs/client.h"
 #include "src/discfs/action_env.h"
 #include "src/discfs/credentials.h"
 #include "src/discfs/host.h"
+#include "src/keynote/assertion.h"
 #include "src/securechannel/channel.h"
+#include "src/util/hex.h"
 #include "src/util/prng.h"
 
 namespace discfs {
@@ -354,6 +357,73 @@ TEST(HandshakeSecurity, MutatedMessagesFailTheMachine) {
         << "ClientAuth mutant " << i;
     ++i;
   }
+}
+
+// SHA-256 over every frame of a fixed-seed handshake in `group` and two
+// records each way: the client's frames in order, then the server's.
+std::string HandshakeFramesDigest(const DsaParams& group) {
+  DsaPrivateKey server_key = DsaPrivateKey::Generate(group, TestRand(1));
+  DsaPrivateKey client_key = DsaPrivateKey::Generate(group, TestRand(2));
+  auto transports = InProcTransport::CreatePair();
+  auto client_tapped =
+      std::make_unique<TamperTransport>(std::move(transports.a));
+  auto server_tapped =
+      std::make_unique<TamperTransport>(std::move(transports.b));
+  TamperTransport* client_tap = client_tapped.get();
+  TamperTransport* server_tap = server_tapped.get();
+  Result<std::unique_ptr<SecureChannel>> server =
+      UnavailableError("pending");
+  std::thread server_thread([&] {
+    server = SecureChannel::ServerHandshake(
+        std::move(server_tapped), ChannelIdentity{server_key, TestRand(11)});
+  });
+  auto client = SecureChannel::ClientHandshake(
+      std::move(client_tapped), ChannelIdentity{client_key, TestRand(10)},
+      server_key.public_key());
+  server_thread.join();
+  if (!client.ok() || !server.ok()) {
+    return "handshake failed";
+  }
+  for (int i = 0; i < 2; ++i) {
+    std::string n = std::to_string(i);
+    if (!(*client)->Send(ToBytes("request " + n)).ok() ||
+        !(*server)->Recv().ok() ||
+        !(*server)->Send(ToBytes("reply " + n)).ok() ||
+        !(*client)->Recv().ok()) {
+      return "record exchange failed";
+    }
+  }
+  Sha256 h;
+  for (TamperTransport* tap : {client_tap, server_tap}) {
+    for (size_t f = 0; f < tap->frames(); ++f) {
+      h.Update(tap->frame(f));
+    }
+  }
+  return HexEncode(h.Finish());
+}
+
+// Recorded from the build before the 64-bit Montgomery kernel and the
+// combs: the handshake's wire bytes, and a credential's text and id, must
+// not change.
+TEST(GoldenValues, HandshakeFramesAndCredentialIdsAreUnchanged) {
+  EXPECT_EQ(HandshakeFramesDigest(Dsa512()),
+            "61d9dceb1bebf9170e3b0dc64825cf5c82371503db7bda7077d84a4558d73891");
+  EXPECT_EQ(HandshakeFramesDigest(Dsa1024()),
+            "90554c6bbefc85265a28971712dbb8fdd747fecc300ac93b2b5250ae4ef4af9d");
+
+  DsaPrivateKey issuer = DsaPrivateKey::Generate(Dsa1024(), TestRand(201));
+  DsaPrivateKey subject = DsaPrivateKey::Generate(Dsa1024(), TestRand(202));
+  CredentialOptions options;
+  options.permissions = "RW";
+  options.comment = "golden";
+  auto text = IssueCredential(issuer, subject.public_key(), "666240", options);
+  ASSERT_TRUE(text.ok()) << text.status();
+  EXPECT_EQ(HexEncode(Sha256::Hash(*text)),
+            "de04ac1130ca3867c5255260b4d08f47cee2cb8b7911f6003a2dd5a0b5478adc");
+  auto assertion = keynote::Assertion::Parse(*text);
+  ASSERT_TRUE(assertion.ok()) << assertion.status();
+  EXPECT_EQ(assertion->Id(), "e77afca920af3f4b");
+  EXPECT_TRUE(assertion->VerifySignature().ok());
 }
 
 // A client whose requests claim someone else's identity cannot: the key is

@@ -21,7 +21,9 @@
 # writer-preferring credential lock (access checks reading the delegation
 # index under it shared while submits and removals take it exclusive) is
 # exercised by policy_scaling_test, and the sharded LRU every cache is
-# built on is hammered by four threads in util_test.
+# built on is hammered by four threads in util_test, and eight threads in
+# crypto_dsa_test make first use of the group- and verify-context caches
+# at once (sign, verify and DH on keys no thread has used).
 #
 # Usage: tools/run_tsan.sh [extra ctest -R regex]
 set -euo pipefail
@@ -43,7 +45,7 @@ tests=(transport_test rpc_pipeline_test event_loop_test
   discfs_multiserver_test security_test cluster_coherence_test
   cluster_recovery_test admission_test fault_smoke block_cache_test
   nfs_test lockbox_test obs_test overload_test policy_scaling_test
-  util_test)
+  util_test crypto_dsa_test)
 targets=("${tests[@]/#fault_smoke/fault_harness}")
 test_regex="${1:-$(IFS='|'; echo "${tests[*]}")}"
 
