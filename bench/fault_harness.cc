@@ -68,7 +68,6 @@ cluster::FabricTuning HarnessTuning() {
   tuning.heartbeat_interval = std::chrono::milliseconds(100);
   tuning.heartbeat_deadline = std::chrono::milliseconds(600);
   tuning.anti_entropy_interval = std::chrono::milliseconds(300);
-  tuning.maintenance_tick = std::chrono::milliseconds(50);
   return tuning;
 }
 

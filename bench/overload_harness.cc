@@ -18,9 +18,9 @@
 //      submitting fresh credentials throughout. The server sheds data
 //      reads at a quarter of its admission limit while control work rides
 //      to the limit itself — so control sheds must stay zero even at 2x.
-//   2. Deadline phase: a raw-frame client (no local reaper, so late
-//      replies are observable) bursts reads carrying a v2 deadline trailer
-//      at a single-worker host until queue wait far exceeds the deadline;
+//   2. Deadline phase: one RpcClient bursts reads carrying a v2 deadline
+//      trailer at a single-worker host until queue wait far exceeds the
+//      deadline (the client keeps no timer, so a late OK is observable);
 //      expired requests must be dropped at dequeue, never executed.
 //   3. Handshake flood: 256 half-open connections may not occupy pool
 //      workers or queue slots, and a legitimate client must complete its
@@ -73,7 +73,9 @@ constexpr uint32_t kReadBytes = 8192;
 constexpr double kPhaseSeconds = 2.5;
 constexpr double kSaturationSeconds = 1.5;
 constexpr size_t kSaturationInflight = 4;
-constexpr uint32_t kLoadDeadlineMs = 2000;  // liveness bound, not a gate
+// Rides every load call and bounds every wait on a reply: a liveness
+// bound, not a gate.
+constexpr uint32_t kLoadDeadlineMs = 2000;
 constexpr double kControlIntervalS = 0.02;  // 50 control-plane ops/s
 
 // Server shape: few workers so saturation is reachable from one process,
@@ -294,9 +296,17 @@ struct DriverStats {
   std::vector<double> latencies_ms;
 };
 
+// Waits at most kLoadDeadlineMs for a reply, so a stalled server fails the
+// run instead of hanging it.
+Result<Bytes> Await(std::future<Result<Bytes>>& future) {
+  BENCH_CHECK(future.wait_for(std::chrono::milliseconds(kLoadDeadlineMs)) ==
+              std::future_status::ready);
+  return future.get();
+}
+
 void Account(std::future<Result<Bytes>>& future, double sched,
              DriverStats& stats) {
-  Result<Bytes> res = future.get();
+  Result<Bytes> res = Await(future);
   if (res.ok()) {
     ++stats.ok;
     stats.latencies_ms.push_back((NowSec() - sched) * 1e3);
@@ -342,12 +352,11 @@ void OpenLoopDriver(RpcClient& client, const std::vector<NfsFh>& files,
           std::chrono::duration<double>(sched - now));
     }
     const NfsFh& fh = files[file_idx++ % files.size()];
-    window.push_back(
-        {client.CallAsyncWithDeadline(kNfsProgram,
-                                      static_cast<uint32_t>(NfsProc::kRead),
-                                      ReadArgs(fh, kReadBytes),
-                                      kLoadDeadlineMs),
-         sched});
+    window.push_back({client.CallAsync(kNfsProgram,
+                                       static_cast<uint32_t>(NfsProc::kRead),
+                                       ReadArgs(fh, kReadBytes),
+                                       kLoadDeadlineMs),
+                      sched});
     ++stats.sent;
     ++i;
     while (!window.empty() &&
@@ -419,17 +428,17 @@ double MeasureSaturation(std::vector<std::unique_ptr<RpcClient>>& clients,
       while (NowSec() - t0 < kSaturationSeconds) {
         while (window.size() < kSaturationInflight) {
           const NfsFh& fh = files[file_idx++ % files.size()];
-          window.push_back(clients[d]->CallAsyncWithDeadline(
+          window.push_back(clients[d]->CallAsync(
               kNfsProgram, static_cast<uint32_t>(NfsProc::kRead),
               ReadArgs(fh, kReadBytes), kLoadDeadlineMs));
         }
-        Result<Bytes> res = window.front().get();
+        Result<Bytes> res = Await(window.front());
         window.pop_front();
         BENCH_CHECK(res.ok());
         ops.fetch_add(1);
       }
       for (auto& f : window) {
-        if (f.get().ok()) {
+        if (Await(f).ok()) {
           ops.fetch_add(1);
         }
       }
@@ -518,41 +527,6 @@ PhaseResult RunPhase(Env& env,
 
 // --------------------------------------------------------- deadline phase
 
-Bytes EncodeReadCall(uint32_t xid, const NfsFh& fh, uint32_t count,
-                     uint32_t deadline_ms) {
-  XdrWriter w;
-  w.PutU32(xid);
-  w.PutU32(0);  // type = call
-  w.PutU32(kNfsProgram);
-  w.PutU32(static_cast<uint32_t>(NfsProc::kRead));
-  w.PutOpaque(ReadArgs(fh, count));
-  if (deadline_ms != 0) {
-    w.PutU32(kRpcTraceMagic);
-    w.PutU32(kRpcDeadlineVersion);
-    w.PutU64(0);  // untraced
-    w.PutU32(deadline_ms);
-  }
-  return w.Take();
-}
-
-struct RawReply {
-  uint32_t xid = 0;
-  uint32_t status = 0;
-};
-
-RawReply DecodeReplyHeader(const Bytes& frame) {
-  XdrReader r(frame);
-  RawReply out;
-  auto xid = r.GetU32();
-  auto type = r.GetU32();
-  auto status = r.GetU32();
-  BENCH_CHECK(xid.ok() && type.ok() && status.ok());
-  BENCH_CHECK(*type == 1);
-  out.xid = *xid;
-  out.status = *status;
-  return out;
-}
-
 struct DeadlineResult {
   uint32_t deadline_ms = kExpiryDeadlineMs;
   double per_op_us = 0;
@@ -565,11 +539,11 @@ struct DeadlineResult {
 };
 
 // A single-worker host, no shedding: a burst far larger than
-// deadline/service_time must see its tail expire at dequeue. The client
-// sends raw frames and keeps no reaper, so an executed-after-expiry
-// request would surface as an OK reply long past its deadline — the
-// "zero expired requests executed" gate needs that visibility, which
-// RpcClient's local reaper would mask.
+// deadline/service_time must see its tail expire at dequeue. An async
+// call's deadline rides only in its frame, so each future resolves with
+// the server's own answer: an executed-after-expiry request would surface
+// as an OK reply long past its deadline, which the "zero expired requests
+// executed" gate needs to see.
 DeadlineResult RunDeadlinePhase() {
   DeadlineResult out;
   DsaPrivateKey admin = DsaPrivateKey::Generate(Dsa512(), BenchRand(60));
@@ -616,16 +590,15 @@ DeadlineResult RunDeadlinePhase() {
       std::move(transport).value(), ChannelIdentity{admin, BenchRand(65)},
       server_key.public_key());
   BENCH_CHECK(channel.ok());
-  SecureChannel& raw = **channel;
+  RpcClient client(std::move(channel).value());
+  const uint32_t read = static_cast<uint32_t>(NfsProc::kRead);
+  const Bytes args = ReadArgs(fh, kExpiryReadBytes);
 
   // Serial calibration: service time of one read, deadline-free.
   constexpr size_t kCalibration = 32;
   double t0 = NowSec();
-  for (uint32_t i = 0; i < kCalibration; ++i) {
-    BENCH_CHECK(raw.Send(EncodeReadCall(1 + i, fh, kExpiryReadBytes, 0)).ok());
-    auto reply = raw.Recv();
-    BENCH_CHECK(reply.ok());
-    BENCH_CHECK(DecodeReplyHeader(*reply).status == 0);
+  for (size_t i = 0; i < kCalibration; ++i) {
+    BENCH_CHECK(client.Call(kNfsProgram, read, args).ok());
   }
   const double per_op = (NowSec() - t0) / kCalibration;
   out.per_op_us = per_op * 1e6;
@@ -637,27 +610,25 @@ DeadlineResult RunDeadlinePhase() {
       3072, std::max<uint64_t>(
                 192, static_cast<uint64_t>(backlog_s / per_op)));
 
-  std::vector<double> sent_at(out.burst + 1000, 0);
+  std::vector<double> sent_at(out.burst, 0);
+  std::vector<std::future<Result<Bytes>>> replies;
+  replies.reserve(out.burst);
   for (uint64_t k = 0; k < out.burst; ++k) {
-    const uint32_t xid = static_cast<uint32_t>(1000 + k);
-    Bytes frame = EncodeReadCall(xid, fh, kExpiryReadBytes,
-                                 kExpiryDeadlineMs);
-    sent_at[xid - 1000] = NowSec();
-    BENCH_CHECK(raw.Send(frame).ok());
+    sent_at[k] = NowSec();
+    replies.push_back(
+        client.CallAsync(kNfsProgram, read, args, kExpiryDeadlineMs));
   }
+  // The single worker serves the burst first in, first out, so reading
+  // the replies in xid order sees each one as it lands.
   for (uint64_t k = 0; k < out.burst; ++k) {
-    auto reply = raw.Recv();
-    BENCH_CHECK(reply.ok());
-    const RawReply decoded = DecodeReplyHeader(*reply);
-    BENCH_CHECK(decoded.xid >= 1000 && decoded.xid < 1000 + out.burst);
-    const double elapsed = NowSec() - sent_at[decoded.xid - 1000];
-    if (decoded.status == 0) {
+    const Result<Bytes> reply = Await(replies[k]);
+    const double elapsed = NowSec() - sent_at[k];
+    if (reply.ok()) {
       ++out.ok;
       if (elapsed > kExpiryDeadlineMs * 1e-3 + kLateGraceS) {
         ++out.late_ok;
       }
-    } else if (decoded.status ==
-               static_cast<uint32_t>(StatusCode::kDeadlineExceeded)) {
+    } else if (reply.status().code() == StatusCode::kDeadlineExceeded) {
       ++out.expired_replies;
     } else {
       ++out.other_errors;
@@ -843,13 +814,11 @@ int Run(int argc, char** argv) {
   // admits the reader through the full depth-3 chain on every file.
   for (auto& client : clients) {
     for (const NfsFh& fh : env.files) {
-      auto res = client
-                     ->CallAsyncWithDeadline(
-                         kNfsProgram,
-                         static_cast<uint32_t>(NfsProc::kRead),
-                         ReadArgs(fh, kReadBytes), 10000)
-                     .get();
-      BENCH_CHECK(res.ok());
+      auto reply = client->CallAsync(kNfsProgram,
+                                     static_cast<uint32_t>(NfsProc::kRead),
+                                     ReadArgs(fh, kReadBytes),
+                                     kLoadDeadlineMs);
+      BENCH_CHECK(Await(reply).ok());
     }
   }
 

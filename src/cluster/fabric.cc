@@ -24,13 +24,19 @@ int64_t SteadyNowMs() {
       .count();
 }
 
+// Hello and Push both answer with the receiver's cursor for the origin.
+Result<uint64_t> DecodeCursor(const Bytes& reply) {
+  XdrReader r(reply);
+  return r.GetU64();
+}
+
 }  // namespace
 
 // One outbound replication link. A dedicated thread drives the blocking
 // connect/handshake/push cycle (peers are few — one per cluster member —
 // so a thread each is cheap); replies still demux on the shared EventLoop
-// through the RpcClient. The thread owns the connection state; Stop and
-// the pause seam only poke it under mu_.
+// through the RpcClient. The thread owns the connection state; Stop only
+// pokes it under mu_.
 class CoherenceFabric::PeerSender {
  public:
   PeerSender(CoherenceFabric* fabric, PeerConfig peer)
@@ -55,16 +61,6 @@ class CoherenceFabric::PeerSender {
     }
     if (transport_ != nullptr) {
       transport_->Shutdown();  // unblocks a mid-handshake Recv
-    }
-    cv_.notify_all();
-  }
-
-  void SetPaused(bool paused) {
-    std::lock_guard<std::mutex> lock(mu_);
-    paused_ = paused;
-    if (paused && client_ != nullptr) {
-      // Drop the link so resuming exercises the reconnect path.
-      client_->Close();
     }
     cv_.notify_all();
   }
@@ -104,8 +100,7 @@ class CoherenceFabric::PeerSender {
     std::chrono::milliseconds backoff = kReconnectInitial;
     while (true) {
       {
-        std::unique_lock<std::mutex> lock(mu_);
-        cv_.wait(lock, [this] { return !paused_ || stop_; });
+        std::lock_guard<std::mutex> lock(mu_);
         if (stop_) {
           break;
         }
@@ -135,7 +130,7 @@ class CoherenceFabric::PeerSender {
         // the moment a partition healed or a peer restarted, when the
         // revocation lists are most likely to have diverged.
         next_revsync_ = now;
-        continue;  // re-check stop/pause before pushing
+        continue;  // re-check stop before pushing
       }
 
       auto now = std::chrono::steady_clock::now();
@@ -166,16 +161,15 @@ class CoherenceFabric::PeerSender {
         continue;
       }
       if (batch.empty()) {
-        // Idle: sleep until new events, the next timer, or stop/pause.
+        // Idle: sleep until new events, the next timer, or stop.
         auto due = next_heartbeat_;
         if (fabric_->config_.collect_revocations && next_revsync_ < due) {
           due = next_revsync_;
         }
         std::unique_lock<std::mutex> lock(mu_);
         cv_.wait_until(lock, due, [this] {
-          return stop_ || paused_ ||
-                 fabric_->log_.head_seq() >
-                     acked_.load(std::memory_order_acquire);
+          return stop_ || fabric_->log_.head_seq() >
+                              acked_.load(std::memory_order_acquire);
         });
         if (stop_) {
           break;
@@ -198,56 +192,43 @@ class CoherenceFabric::PeerSender {
   }
 
   // kClusterStatus heartbeat: proves liveness and gossips membership.
-  bool Heartbeat(RpcClient* client) {
+  void Heartbeat(RpcClient* client) {
     StatusRequest request;
     request.origin = fabric_->config_.node_id;
     request.listen_addr = fabric_->config_.listen_addr;
     request.members = fabric_->MemberAddresses();
-    auto reply = TimedCall(client, ClusterProc::kClusterStatus,
-                           EncodeStatusRequest(request));
-    if (!reply.ok()) {
-      Disconnect();
-      return false;
+    std::optional<StatusReply> reply =
+        CallPeer(client, ClusterProc::kClusterStatus,
+                 EncodeStatusRequest(request), DecodeStatusReply);
+    if (!reply) {
+      return;
     }
-    auto decoded = DecodeStatusReply(*reply);
-    if (!decoded.ok()) {
-      Disconnect();
-      return false;
-    }
-    NoteOk();
-    for (const std::string& member : decoded->members) {
+    for (const std::string& member : reply->members) {
       fabric_->AddPeerAddress(member);
     }
-    return true;
   }
 
   // kRevocationSync: one exchange converges both revocation lists.
-  bool RevocationSync(RpcClient* client) {
+  void RevocationSync(RpcClient* client) {
     RevocationSyncRequest request;
     request.origin = fabric_->config_.node_id;
     std::tie(request.digest, request.entries) =
         fabric_->config_.collect_revocations();
-    auto reply = TimedCall(client, ClusterProc::kRevocationSync,
-                           EncodeRevocationSyncRequest(request));
-    if (!reply.ok()) {
-      Disconnect();
-      return false;
+    std::optional<RevocationSyncReply> reply =
+        CallPeer(client, ClusterProc::kRevocationSync,
+                 EncodeRevocationSyncRequest(request),
+                 DecodeRevocationSyncReply);
+    if (!reply) {
+      return;
     }
-    auto decoded = DecodeRevocationSyncReply(*reply);
-    if (!decoded.ok()) {
-      Disconnect();
-      return false;
-    }
-    NoteOk();
     fabric_->revocation_syncs_.fetch_add(1, std::memory_order_relaxed);
-    if (!decoded->match && fabric_->config_.merge_revocations) {
-      size_t pulled = fabric_->config_.merge_revocations(decoded->entries);
+    if (!reply->match && fabric_->config_.merge_revocations) {
+      size_t pulled = fabric_->config_.merge_revocations(reply->entries);
       if (pulled > 0) {
         fabric_->revocations_pulled_.fetch_add(pulled,
                                                std::memory_order_relaxed);
       }
     }
-    return true;
   }
 
   RpcClient* CurrentClient() {
@@ -255,21 +236,27 @@ class CoherenceFabric::PeerSender {
     return client_.get();
   }
 
-  // Calls a cluster procedure under the configured deadline. A peer that
-  // dies without RST never replies; on expiry the connection is closed
-  // (which fails the in-flight call) so the reconnect loop takes over
-  // instead of this sender waiting forever.
-  Result<Bytes> TimedCall(RpcClient* client, ClusterProc proc,
-                          const Bytes& args) {
-    std::future<Result<Bytes>> reply = client->CallAsync(
-        kClusterProgram, static_cast<uint32_t>(proc), args);
-    if (reply.wait_for(fabric_->config_.tuning.call_timeout) ==
-        std::future_status::timeout) {
-      client->Close();  // fails the pending call; the future resolves now
-      (void)reply.get();
-      return DeadlineExceededError("cluster peer call timed out");
+  // Calls a cluster procedure and decodes its reply. call_timeout bounds
+  // the call, since a peer that dies without RST never replies; the
+  // deadline also rides the frame, so the peer drops a call that waited
+  // past it instead of executing it. A failed call or an undecodable
+  // reply drops the link and the reconnect loop takes over; a decoded
+  // reply marks the link alive.
+  template <typename T>
+  std::optional<T> CallPeer(RpcClient* client, ClusterProc proc,
+                            const Bytes& args,
+                            Result<T> (*decode)(const Bytes&)) {
+    Result<Bytes> reply = client->Call(
+        kClusterProgram, static_cast<uint32_t>(proc), args,
+        static_cast<uint32_t>(fabric_->config_.tuning.call_timeout.count()));
+    Result<T> decoded =
+        reply.ok() ? decode(*reply) : Result<T>(reply.status());
+    if (!decoded.ok()) {
+      Disconnect();
+      return std::nullopt;
     }
-    return reply.get();
+    NoteOk();
+    return std::move(decoded).value();
   }
 
   // Returns true when stop was requested during the wait.
@@ -324,29 +311,16 @@ class CoherenceFabric::PeerSender {
     hello.incarnation = fabric_->incarnation_;
     hello.head_seq = fabric_->log_.head_seq();
     hello.listen_addr = fabric_->config_.listen_addr;
-    auto reply =
-        TimedCall(CurrentClient(), ClusterProc::kHello, EncodeHello(hello));
-    uint64_t cursor = 0;
-    bool ok = reply.ok();
-    if (ok) {
-      XdrReader r(*reply);
-      auto decoded = r.GetU64();
-      ok = decoded.ok();
-      if (ok) {
-        cursor = *decoded;
-      }
-    }
-    if (!ok) {
-      Disconnect();
+    std::optional<uint64_t> cursor = CallPeer(
+        CurrentClient(), ClusterProc::kHello, EncodeHello(hello), DecodeCursor);
+    if (!cursor) {
       connect_failures_.fetch_add(1, std::memory_order_relaxed);
       return false;
     }
     // A well-behaved peer never claims more than we offered; clamp so a
     // confused one cannot stall this sender waiting for unreachable seqs.
-    cursor = std::min(cursor, hello.head_seq);
-    acked_.store(cursor, std::memory_order_release);
+    acked_.store(std::min(*cursor, hello.head_seq), std::memory_order_release);
     connects_.fetch_add(1, std::memory_order_relaxed);
-    NoteOk();
     fabric_->NoteAck();
     return true;
   }
@@ -358,22 +332,14 @@ class CoherenceFabric::PeerSender {
     PushRequest request;
     request.origin = fabric_->config_.node_id;
     request.events = batch;
-    auto reply = TimedCall(client, ClusterProc::kPush, EncodePush(request));
-    if (!reply.ok()) {
-      Disconnect();
+    std::optional<uint64_t> cursor = CallPeer(
+        client, ClusterProc::kPush, EncodePush(request), DecodeCursor);
+    if (!cursor) {
       return false;
     }
-    XdrReader r(*reply);
-    auto cursor = r.GetU64();
-    if (!cursor.ok()) {
-      Disconnect();
-      return false;
-    }
-    uint64_t prev = acked_.load(std::memory_order_acquire);
-    if (*cursor > prev) {
+    if (*cursor > acked_.load(std::memory_order_acquire)) {
       acked_.store(*cursor, std::memory_order_release);
     }
-    NoteOk();
     fabric_->NoteAck();
     return true;
   }
@@ -392,10 +358,9 @@ class CoherenceFabric::PeerSender {
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  bool stop_ = false;    // guarded by mu_
-  bool paused_ = false;  // guarded by mu_
+  bool stop_ = false;  // guarded by mu_
   // Connection state: created/destroyed only by the sender thread, always
-  // under mu_, so Stop/SetPaused can safely poke whatever exists. The
+  // under mu_, so Stop can safely poke whatever exists. The
   // transport lives here only while handshaking; then the client owns it.
   std::unique_ptr<TcpTransport> transport_;  // guarded by mu_
   std::unique_ptr<RpcClient> client_;        // guarded by mu_
@@ -415,6 +380,9 @@ class CoherenceFabric::PeerSender {
 
 CoherenceFabric::CoherenceFabric(FabricConfig config)
     : config_(std::move(config)), log_(config_.tuning.log_capacity) {
+  if (config_.tuning.snapshot_interval == 0) {
+    config_.tuning.snapshot_interval = 1;  // a snapshot after every event
+  }
   // Always from the system entropy pool, never config.identity.rand_bytes:
   // a deterministic (seeded) rand would reproduce the same incarnation
   // after a restart, and restart detection is the whole point.
@@ -589,7 +557,9 @@ uint64_t CoherenceFabric::Publish(CoherenceEvent event) {
     seq = log_.Append(std::move(event));
   }
   published_.fetch_add(1, std::memory_order_relaxed);
-  events_since_snapshot_.fetch_add(1, std::memory_order_relaxed);
+  if (store_ != nullptr) {
+    NoteJournaled(1);
+  }
   std::lock_guard<std::mutex> lock(peers_mu_);
   for (auto& peer : peers_) {
     peer->NotifyNewEvents();
@@ -693,8 +663,7 @@ uint64_t CoherenceFabric::HandlePush(
     }
     if (!fresh.empty()) {
       (void)store_->AppendBatch(fresh);
-      events_since_snapshot_.fetch_add(fresh.size(),
-                                       std::memory_order_relaxed);
+      NoteJournaled(fresh.size());
     }
   }
   for (const SequencedEvent& entry : events) {
@@ -719,6 +688,10 @@ void CoherenceFabric::WriteSnapshotNow(bool clean) {
   if (store_ == nullptr) {
     return;
   }
+  // The events this snapshot covers; those journaled while it is written
+  // count toward the next one.
+  const uint64_t covered =
+      events_since_snapshot_.load(std::memory_order_relaxed);
   CoherenceStore::SnapshotData data;
   // Capture order is load-bearing. Cursors before the server blob: a
   // remote event applied between the two captures then shows up only as
@@ -746,24 +719,38 @@ void CoherenceFabric::WriteSnapshotNow(bool clean) {
   bool compacted = false;
   std::vector<SequencedEvent> own_tail =
       log_.ReadAfter(0, config_.tuning.log_capacity, &compacted);
-  if (store_->WriteSnapshot(data, own_tail, clean).ok()) {
-    events_since_snapshot_.store(0, std::memory_order_relaxed);
+  // A failed snapshot is retried once another interval's events are
+  // journaled; until then the journal alone holds them.
+  (void)store_->WriteSnapshot(data, own_tail, clean);
+  events_since_snapshot_.fetch_sub(covered, std::memory_order_relaxed);
+}
+
+void CoherenceFabric::NoteJournaled(uint64_t events) {
+  const uint64_t interval = config_.tuning.snapshot_interval;
+  const uint64_t before =
+      events_since_snapshot_.fetch_add(events, std::memory_order_relaxed);
+  if (before < interval && before + events >= interval) {
+    // Under maint_mu_, so the crossing cannot fall between the
+    // maintenance thread's check of the counter and its wait.
+    std::lock_guard<std::mutex> lock(maint_mu_);
+    maint_cv_.notify_one();
   }
 }
 
 void CoherenceFabric::MaintenanceLoop() {
   std::unique_lock<std::mutex> lock(maint_mu_);
-  while (!maint_stop_) {
-    maint_cv_.wait_for(lock, config_.tuning.maintenance_tick);
+  while (true) {
+    maint_cv_.wait(lock, [this] {
+      return maint_stop_ ||
+             events_since_snapshot_.load(std::memory_order_relaxed) >=
+                 config_.tuning.snapshot_interval;
+    });
     if (maint_stop_) {
       break;
     }
-    if (events_since_snapshot_.load(std::memory_order_relaxed) >=
-        config_.tuning.snapshot_interval) {
-      lock.unlock();
-      WriteSnapshotNow(/*clean=*/false);
-      lock.lock();
-    }
+    lock.unlock();
+    WriteSnapshotNow(/*clean=*/false);
+    lock.lock();
   }
 }
 
@@ -817,13 +804,6 @@ uint64_t CoherenceFabric::ReceiveCursor(const std::string& origin) const {
   return it == recv_cursors_.end()
              ? 0
              : it->second.cursor.load(std::memory_order_acquire);
-}
-
-void CoherenceFabric::SetPeerPausedForTest(size_t index, bool paused) {
-  std::lock_guard<std::mutex> lock(peers_mu_);
-  if (index < peers_.size()) {
-    peers_[index]->SetPaused(paused);
-  }
 }
 
 }  // namespace discfs::cluster

@@ -32,7 +32,7 @@
 // Membership is seed-based — peers gossip advertised listen addresses on
 // Hello and kClusterStatus heartbeats, which also drive per-peer liveness
 // (see membership.h) — and a shared FaultSchedule seam lets harnesses
-// sever links (see fault.h).
+// and tests sever links (see fault.h).
 #ifndef DISCFS_SRC_CLUSTER_FABRIC_H_
 #define DISCFS_SRC_CLUSTER_FABRIC_H_
 
@@ -79,14 +79,16 @@ struct FabricTuning {
   // dropped, not refused) cannot pin a sender — or fabric teardown —
   // for the kernel's multi-minute connect timeout.
   std::chrono::milliseconds connect_timeout{1000};
-  // Bound on each Hello/Push RPC once connected: a peer that dies
-  // without RST (power loss, partition) would otherwise hold its sender
-  // in a reply wait forever, silently stopping revocation replication
-  // to it. On expiry the link is dropped and the reconnect loop takes
-  // over.
+  // Bound on the handshake and on each RPC once connected: a peer that
+  // dies without RST (power loss, partition) would otherwise hold its
+  // sender in a reply wait forever, silently stopping revocation
+  // replication to it. On expiry the link is dropped and the reconnect
+  // loop takes over. The bound also rides each call frame, so the
+  // receiver drops a call that waited past it instead of executing it.
   std::chrono::milliseconds call_timeout{10000};
   // Events (published + applied) between cursor/state snapshots when a
-  // storage_dir is configured.
+  // storage_dir is configured; the maintenance thread wakes as the count
+  // reaches it. 0 snapshots after every event.
   size_t snapshot_interval = 256;
   // How often an idle link sends a kClusterStatus heartbeat (which also
   // gossips membership), and how stale the last successful RPC on a link
@@ -96,8 +98,6 @@ struct FabricTuning {
   // Revocation-list anti-entropy cadence per link (also runs once right
   // after every reconnect — exactly the moment a partition healed).
   std::chrono::milliseconds anti_entropy_interval{1000};
-  // Maintenance thread tick (snapshot cadence checks).
-  std::chrono::milliseconds maintenance_tick{200};
 };
 
 struct FabricConfig {
@@ -232,10 +232,6 @@ class CoherenceFabric {
   // Member view for gossip: our advertised address plus every peer's.
   std::vector<std::string> MemberAddresses() const;
 
-  // Test seam: while paused, the sender for peers_[index] neither pushes
-  // nor reconnects — simulates a long partition without socket churn.
-  void SetPeerPausedForTest(size_t index, bool paused);
-
  private:
   class PeerSender;
 
@@ -248,6 +244,9 @@ class CoherenceFabric {
   // matters: cursors first, server blob second, head/tail last under
   // publish_mu_ — see the comment at the definition.
   void WriteSnapshotNow(bool clean);
+  // Counts events journaled since the last snapshot and wakes the
+  // maintenance thread when the count reaches snapshot_interval.
+  void NoteJournaled(uint64_t events);
   void MaintenanceLoop();
 
   FabricConfig config_;
@@ -308,7 +307,8 @@ class CoherenceFabric {
   bool recovered_incarnation_ = false;  // set in ctor, then read-only
   uint64_t recovered_events_ = 0;       // set in ctor, then read-only
 
-  // Maintenance thread: periodic snapshots. Started only with a store.
+  // Maintenance thread: a snapshot every snapshot_interval journaled
+  // events. Started only with a store. maint_mu_ is a leaf lock.
   std::mutex maint_mu_;
   std::condition_variable maint_cv_;
   bool maint_stop_ = false;  // guarded by maint_mu_

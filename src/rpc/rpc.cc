@@ -1,6 +1,7 @@
 #include "src/rpc/rpc.h"
 
 #include <algorithm>
+#include <chrono>
 #include <condition_variable>
 
 #include "src/util/strings.h"
@@ -135,41 +136,35 @@ RpcClient::~RpcClient() {
   if (demux_thread_.joinable()) {
     demux_thread_.join();
   }
-  std::thread reaper;
-  {
-    std::lock_guard<std::mutex> lock(deadline_mu_);
-    deadline_stop_ = true;
-    reaper = std::move(deadline_thread_);
-  }
-  deadline_cv_.notify_all();
-  if (reaper.joinable()) {
-    reaper.join();
-  }
 }
 
 std::future<Result<Bytes>> RpcClient::CallAsync(uint32_t prog, uint32_t proc,
-                                                const Bytes& args) {
-  return CallAsyncWithDeadline(prog, proc, args, /*deadline_ms=*/0);
+                                                const Bytes& args,
+                                                uint32_t deadline_ms) {
+  uint32_t xid = 0;
+  return StartCall(prog, proc, args, deadline_ms, &xid);
 }
 
-std::future<Result<Bytes>> RpcClient::CallAsyncWithDeadline(
-    uint32_t prog, uint32_t proc, const Bytes& args, uint32_t deadline_ms) {
+std::future<Result<Bytes>> RpcClient::StartCall(uint32_t prog,
+                                                uint32_t proc,
+                                                const Bytes& args,
+                                                uint32_t deadline_ms,
+                                                uint32_t* xid) {
   std::promise<Result<Bytes>> promise;
   std::future<Result<Bytes>> future = promise.get_future();
 
-  uint32_t xid;
   {
     std::lock_guard<std::mutex> lock(pending_mu_);
     if (broken_) {
       promise.set_value(broken_status_);
       return future;
     }
-    xid = next_xid_++;
-    pending_.emplace(xid, std::move(promise));
+    *xid = next_xid_++;
+    pending_.emplace(*xid, std::move(promise));
   }
 
   XdrWriter w;
-  w.PutU32(xid);
+  w.PutU32(*xid);
   w.PutU32(kTypeCall);
   w.PutU32(prog);
   w.PutU32(proc);
@@ -184,86 +179,39 @@ std::future<Result<Bytes>> RpcClient::CallAsyncWithDeadline(
     // Withdraw the pending slot (unless the demux path already failed it
     // while tearing the connection down) and resolve the future directly.
     std::unique_lock<std::mutex> lock(pending_mu_);
-    auto it = pending_.find(xid);
+    auto it = pending_.find(*xid);
     if (it != pending_.end()) {
       std::promise<Result<Bytes>> orphan = std::move(it->second);
       pending_.erase(it);
       lock.unlock();
       orphan.set_value(sent);
     }
-    return future;
-  }
-  if (deadline_ms != 0) {
-    ArmDeadline(xid, deadline_ms);
   }
   return future;
 }
 
-Result<Bytes> RpcClient::Call(uint32_t prog, uint32_t proc,
-                              const Bytes& args) {
-  return CallAsync(prog, proc, args).get();
-}
-
-Result<Bytes> RpcClient::CallWithDeadline(uint32_t prog, uint32_t proc,
-                                          const Bytes& args,
-                                          uint32_t deadline_ms) {
-  return CallAsyncWithDeadline(prog, proc, args, deadline_ms).get();
-}
-
-void RpcClient::ArmDeadline(uint32_t xid, uint32_t deadline_ms) {
-  auto when = std::chrono::steady_clock::now() +
-              std::chrono::milliseconds(deadline_ms);
+Result<Bytes> RpcClient::Call(uint32_t prog, uint32_t proc, const Bytes& args,
+                              uint32_t deadline_ms) {
+  const auto give_up = std::chrono::steady_clock::now() +
+                       std::chrono::milliseconds(deadline_ms);
+  uint32_t xid = 0;
+  std::future<Result<Bytes>> reply =
+      StartCall(prog, proc, args, deadline_ms, &xid);
+  if (deadline_ms == 0 ||
+      reply.wait_until(give_up) == std::future_status::ready) {
+    return reply.get();
+  }
   {
-    std::lock_guard<std::mutex> lock(deadline_mu_);
-    if (deadline_stop_) {
-      return;  // destructor already ran; the call fails via FailAllPending
-    }
-    deadlines_.emplace(when, xid);
-    if (!deadline_thread_.joinable()) {
-      deadline_thread_ = std::thread([this] { DeadlineLoop(); });
+    // Withdrawn, the call's reply (should one still come) finds no
+    // pending entry and is dropped as stale.
+    std::lock_guard<std::mutex> lock(pending_mu_);
+    if (pending_.erase(xid) > 0) {
+      return DeadlineExceededError("RPC deadline exceeded awaiting reply");
     }
   }
-  deadline_cv_.notify_all();
-}
-
-void RpcClient::DeadlineLoop() {
-  std::unique_lock<std::mutex> lock(deadline_mu_);
-  while (!deadline_stop_) {
-    if (deadlines_.empty()) {
-      deadline_cv_.wait(lock);
-      continue;
-    }
-    auto now = std::chrono::steady_clock::now();
-    if (deadlines_.begin()->first > now) {
-      deadline_cv_.wait_until(lock, deadlines_.begin()->first);
-      continue;
-    }
-    std::vector<uint32_t> due;
-    while (!deadlines_.empty() && deadlines_.begin()->first <= now) {
-      due.push_back(deadlines_.begin()->second);
-      deadlines_.erase(deadlines_.begin());
-    }
-    lock.unlock();
-    for (uint32_t xid : due) {
-      // Completed calls are no longer pending; firing is a no-op then.
-      std::promise<Result<Bytes>> promise;
-      bool found = false;
-      {
-        std::lock_guard<std::mutex> pending_lock(pending_mu_);
-        auto it = pending_.find(xid);
-        if (it != pending_.end()) {
-          promise = std::move(it->second);
-          pending_.erase(it);
-          found = true;
-        }
-      }
-      if (found) {
-        promise.set_value(
-            DeadlineExceededError("RPC deadline exceeded awaiting reply"));
-      }
-    }
-    lock.lock();
-  }
+  // A reply or a connection failure claimed the call first and is
+  // resolving the future now.
+  return reply.get();
 }
 
 bool RpcClient::ProcessReply(const Bytes& frame) {

@@ -12,7 +12,10 @@
 // (the default, and the only option for streams that hide their fd, such
 // as the link shaper) or — when an EventLoop is supplied — as a
 // readability callback on a shared poller, so a proxy holding thousands of
-// upstream connections needs one thread, not thousands.
+// upstream connections needs one thread, not thousands. A call's deadline
+// is bounded only where something already waits: the server drops work
+// whose budget ran out before dequeue, and a blocking Call stops waiting
+// at its deadline. The client runs no timer of its own.
 //
 // Server side: RpcConnection is the one server runtime. It serves a
 // pollable stream entirely from an EventLoop: decode on readability,
@@ -24,7 +27,6 @@
 #define DISCFS_SRC_RPC_RPC_H_
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <deque>
 #include <functional>
@@ -72,28 +74,24 @@ class RpcClient {
   RpcClient& operator=(const RpcClient&) = delete;
 
   // Blocking call; returns the procedure result or the server-side error.
-  // Concurrent callers pipeline on the shared connection.
-  Result<Bytes> Call(uint32_t prog, uint32_t proc, const Bytes& args);
+  // Concurrent callers pipeline on the shared connection. A nonzero
+  // `deadline_ms` rides the call frame's version-2 trailer, so the server
+  // drops the work at dequeue once it is dead, and bounds this wait: at
+  // the deadline the call is withdrawn and returns kDeadlineExceeded (a
+  // later reply is dropped as stale). 0 means no deadline.
+  Result<Bytes> Call(uint32_t prog, uint32_t proc, const Bytes& args,
+                     uint32_t deadline_ms = 0);
 
   // Starts a call and returns immediately; the future resolves when the
   // matching reply arrives (or with the connection error if the stream
   // breaks or Close is called first — in-flight calls fail fast, they
-  // never hang).
+  // never hang). A nonzero `deadline_ms` rides only in the frame: the
+  // future resolves with the server's own answer, kDeadlineExceeded when
+  // the work expired before dequeue. A caller that wants a local bound
+  // waits on the future with wait_until.
   std::future<Result<Bytes>> CallAsync(uint32_t prog, uint32_t proc,
-                                       const Bytes& args);
-
-  // Deadline-aware calls: the pending promise fails with
-  // kDeadlineExceeded when no reply arrives within `deadline_ms`, so a
-  // stalled server cannot hang the caller. The budget also rides the call
-  // frame's version-2 trailer, letting the server drop the work at
-  // dequeue once it is already dead instead of executing it.
-  // deadline_ms == 0 means no deadline (the plain CallAsync behavior).
-  std::future<Result<Bytes>> CallAsyncWithDeadline(uint32_t prog,
-                                                   uint32_t proc,
-                                                   const Bytes& args,
-                                                   uint32_t deadline_ms);
-  Result<Bytes> CallWithDeadline(uint32_t prog, uint32_t proc,
-                                 const Bytes& args, uint32_t deadline_ms);
+                                       const Bytes& args,
+                                       uint32_t deadline_ms = 0);
 
   // Fails all in-flight calls, makes future calls fail immediately, and
   // tears down the stream. Safe to call from any thread, including while
@@ -104,11 +102,12 @@ class RpcClient {
   size_t inflight() const;
 
  private:
+  // Registers a pending call under a fresh xid (stored in *xid) and sends
+  // its frame; the future resolves as CallAsync's does.
+  std::future<Result<Bytes>> StartCall(uint32_t prog, uint32_t proc,
+                                       const Bytes& args,
+                                       uint32_t deadline_ms, uint32_t* xid);
   void DemuxLoop();
-  // Fails pending calls whose deadline passed with kDeadlineExceeded.
-  // Lazily started by the first deadline-carrying call.
-  void DeadlineLoop();
-  void ArmDeadline(uint32_t xid, uint32_t deadline_ms);
   // Drains TryRecv on the event loop until the socket is empty or broken.
   void OnReadable();
   // Resolves one reply frame against the pending table. Returns false when
@@ -132,14 +131,6 @@ class RpcClient {
   EventLoop* loop_ = nullptr;
   int loop_fd_ = -1;
   std::thread demux_thread_;
-
-  // Deadline reaper: earliest-first queue of (expiry, xid). Entries for
-  // calls that already completed fire as no-ops (pending_ probe misses).
-  std::mutex deadline_mu_;
-  std::condition_variable deadline_cv_;
-  std::multimap<std::chrono::steady_clock::time_point, uint32_t> deadlines_;
-  bool deadline_stop_ = false;     // guarded by deadline_mu_
-  std::thread deadline_thread_;    // guarded by deadline_mu_ (lazy start)
 };
 
 // RPC call frames may carry an optional trailer after the opaque args:

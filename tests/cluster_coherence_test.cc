@@ -4,12 +4,14 @@
 // compaction fallback to InvalidateAll, and the cluster trust check.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <thread>
 
 #include "src/blockdev/blockdev.h"
 #include "src/cluster/event_log.h"
 #include "src/cluster/fabric.h"
+#include "src/cluster/fault.h"
 #include "src/cluster/protocol.h"
 #include "src/crypto/groups.h"
 #include "src/discfs/client.h"
@@ -205,7 +207,9 @@ struct ClusterNode {
 ClusterNode StartClusterNode(const DsaPrivateKey& server_key,
                              const std::vector<DsaPublicKey>& trusted_keys,
                              uint64_t seed,
-                             cluster::FabricTuning tuning = {}) {
+                             cluster::FabricTuning tuning = {},
+                             std::shared_ptr<cluster::FaultSchedule> faults =
+                                 nullptr) {
   ClusterNode node;
   auto dev = std::make_shared<MemBlockDevice>(4096, 4096);
   auto fs = Ffs::Format(dev, FfsFormatOptions{512});
@@ -220,6 +224,7 @@ ClusterNode StartClusterNode(const DsaPrivateKey& server_key,
   options.worker_threads = 4;
   options.cluster_enabled = true;
   options.cluster_tuning = tuning;
+  options.cluster_faults = std::move(faults);
   auto host = DiscfsHost::Start(node.vfs, std::move(config), /*port=*/0,
                                 std::move(options));
   EXPECT_TRUE(host.ok()) << host.status();
@@ -338,13 +343,26 @@ TEST(CoherenceFabric, ReplaysMissedEventsAfterReconnect) {
             queries_before);
 }
 
+bool WaitFor(const std::function<bool()>& cond,
+             std::chrono::milliseconds limit) {
+  auto deadline = std::chrono::steady_clock::now() + limit;
+  while (std::chrono::steady_clock::now() < deadline) {
+    if (cond()) {
+      return true;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  return cond();
+}
+
 TEST(CoherenceFabric, CompactedLogFallsBackToInvalidateAll) {
   DsaPrivateKey key_a = DsaPrivateKey::Generate(Dsa512(), TestRand(1));
   DsaPrivateKey key_b = DsaPrivateKey::Generate(Dsa512(), TestRand(2));
   cluster::FabricTuning small_log;
   small_log.log_capacity = 4;
+  auto faults = std::make_shared<cluster::FaultSchedule>();
   ClusterNode a =
-      StartClusterNode(key_a, {key_b.public_key()}, 10, small_log);
+      StartClusterNode(key_a, {key_b.public_key()}, 10, small_log, faults);
   ClusterNode b = StartClusterNode(key_b, {key_a.public_key()}, 11);
   ASSERT_TRUE(a.host->AddClusterPeer(
                   {"127.0.0.1", b.host->port(), key_b.public_key()})
@@ -357,14 +375,20 @@ TEST(CoherenceFabric, CompactedLogFallsBackToInvalidateAll) {
   const std::string bystander = "compaction-bystander";
   b.host->server().EffectiveMask(bystander, 1);
 
-  // Partition the peer, then publish far past the log capacity: events
-  // 2..7 are compacted away, only 8..11 remain.
-  a.host->fabric()->SetPeerPausedForTest(0, true);
+  // Partition the link and wait until A's sender has dropped it, then
+  // publish far past the log capacity: events 2..7 are compacted away,
+  // only 8..11 remain.
+  const std::string addr_a = a.host->fabric()->MemberAddresses().front();
+  const std::string addr_b = "127.0.0.1:" + std::to_string(b.host->port());
+  faults->BlockLink(addr_a, addr_b);
+  ASSERT_TRUE(WaitFor(
+      [&] { return !a.host->fabric()->stats().peers[0].connected; },
+      kAckTimeout));
   for (int i = 0; i < 10; ++i) {
     a.host->server().RevokeKey("burst-" + std::to_string(i));
   }
   EXPECT_EQ(a.host->fabric()->stats().head_seq, 11u);
-  a.host->fabric()->SetPeerPausedForTest(0, false);
+  faults->HealLink(addr_a, addr_b);
 
   ASSERT_TRUE(a.host->fabric()->WaitForAck(11, kAckTimeout));
   EXPECT_EQ(b.host->fabric()->ReceiveCursor(a.host->fabric()->node_id()),
@@ -383,18 +407,6 @@ TEST(CoherenceFabric, CompactedLogFallsBackToInvalidateAll) {
   b.host->server().EffectiveMask(bystander, 1);
   EXPECT_EQ(b.host->server().counters().keynote_queries.load(),
             queries_before + 1);
-}
-
-bool WaitFor(const std::function<bool()>& cond,
-             std::chrono::milliseconds limit) {
-  auto deadline = std::chrono::steady_clock::now() + limit;
-  while (std::chrono::steady_clock::now() < deadline) {
-    if (cond()) {
-      return true;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  return cond();
 }
 
 // Returns how long destroying `fabric` took.
@@ -442,6 +454,58 @@ TEST(CoherenceFabric, SilentPeerCannotHoldTheLinkInItsHandshake) {
   ASSERT_TRUE(accepted.ok()) << accepted.status();
   ASSERT_TRUE((*accepted)->Recv().ok());  // the ClientHello; no answer
   EXPECT_LT(TimedDestroy(std::move(fabric)), milliseconds(1000));
+}
+
+// A peer that completes the handshake but never answers (hung after
+// accepting) cannot hold the link either: call_timeout bounds the Hello
+// as it bounds every RPC, so the sender keeps failing and retrying. And
+// stopping the fabric fails a Hello in flight at once.
+TEST(CoherenceFabric, PeerThatNeverAnswersHelloCannotHoldTheLink) {
+  using std::chrono::milliseconds;
+  EventLoop loop;
+  cluster::FabricConfig config;
+  config.node_id = "sender";
+  config.loop = &loop;
+  config.identity = ChannelIdentity{
+      DsaPrivateKey::Generate(Dsa512(), TestRand(1)), TestRand(2)};
+  config.tuning.call_timeout = milliseconds(1500);
+
+  // The fake peer handshakes every connection it accepts and then keeps
+  // the channel open without reading from it.
+  auto listener = TcpListener::Listen(0);
+  ASSERT_TRUE(listener.ok()) << listener.status();
+  const ChannelIdentity peer_identity{
+      DsaPrivateKey::Generate(Dsa512(), TestRand(3)), TestRand(4)};
+  std::atomic<uint64_t> handshakes{0};
+  std::thread fake_peer([&] {
+    std::vector<std::unique_ptr<SecureChannel>> channels;
+    while (true) {
+      auto accepted = (*listener)->Accept();
+      if (!accepted.ok()) {
+        return;
+      }
+      HandshakeMachine machine = HandshakeMachine::Server(peer_identity);
+      if (machine.Run(**accepted).ok()) {
+        channels.push_back(
+            machine.Finish(std::move(accepted).value()).value());
+        handshakes.fetch_add(1);
+      }
+    }
+  });
+
+  auto fabric = std::make_unique<cluster::CoherenceFabric>(config);
+  fabric->AddPeer({"127.0.0.1", (*listener)->port(), std::nullopt});
+  auto failures = [&] { return fabric->stats().peers[0].connect_failures; };
+  EXPECT_TRUE(WaitFor([&] { return failures() >= 2; }, milliseconds(10000)))
+      << "the Hello to a peer that never answers never timed out";
+  // Destroy while the next Hello waits for its answer.
+  EXPECT_TRUE(WaitFor([&] { return handshakes.load() > failures(); },
+                      milliseconds(10000)));
+  EXPECT_EQ(fabric->stats().peers[0].connects, 0u);
+  EXPECT_LT(TimedDestroy(std::move(fabric)), milliseconds(1000));
+
+  (*listener)->Shutdown();
+  fake_peer.join();
 }
 
 TEST(CoherenceFabric, UntrustedPeerCannotPush) {

@@ -1,6 +1,7 @@
 // Graceful overload (PR 10): policy-aware shedding (data sheds first,
-// control last), deadline propagation (client reaper + server-side drop of
-// expired work at dequeue), and handshake hardening (a slowloris flood of
+// control last), deadline propagation (the server drops expired work at
+// dequeue, a blocking call stops waiting at its deadline, and no client
+// thread keeps time), and handshake hardening (a slowloris flood of
 // half-open connections cannot pin workers and is reaped by timeout).
 #include <gtest/gtest.h>
 #include <sys/socket.h>
@@ -8,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <filesystem>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -222,8 +224,7 @@ TEST(Overload, ExpiredRequestsDropAtDequeueWithoutExecuting) {
   // waits behind the blocked handler.
   auto running = client.CallAsync(1, TieredServer::kNamespace, Bytes{1});
   ASSERT_TRUE(WaitFor([&] { return server.entered.load() == 1; }));
-  auto doomed =
-      client.CallAsyncWithDeadline(1, TieredServer::kNamespace, Bytes{2}, 100);
+  auto doomed = client.CallAsync(1, TieredServer::kNamespace, Bytes{2}, 100);
   ASSERT_TRUE(WaitFor([&] { return server.pool.queue_depth() == 1; }));
   std::this_thread::sleep_for(250ms);  // the queued budget expires
 
@@ -242,43 +243,109 @@ TEST(Overload, ExpiredRequestsDropAtDequeueWithoutExecuting) {
   ASSERT_TRUE(WaitFor([&] { return (*served)->closed(); }));
 }
 
-// CallWithDeadline against a stalled server resolves promptly with
-// DEADLINE_EXCEEDED instead of blocking forever.
-TEST(Overload, CallWithDeadlineFailsFastOnStalledServer) {
-  TieredServer server;
-  auto listener = TcpListener::Listen(0);
-  ASSERT_TRUE(listener.ok());
-  auto transport = TcpTransport::Connect("127.0.0.1", (*listener)->port());
-  ASSERT_TRUE(transport.ok());
-  auto accepted = (*listener)->Accept();
-  ASSERT_TRUE(accepted.ok());
+// One served connection on a TieredServer (no admission bound).
+struct ServedClient {
+  std::shared_ptr<RpcConnection> served;
+  std::unique_ptr<RpcClient> client;  // demuxes on its own thread
+};
 
+ServedClient Serve(TieredServer& server) {
+  ServedClient out;
+  auto listener = TcpListener::Listen(0);
+  EXPECT_TRUE(listener.ok());
+  auto transport = TcpTransport::Connect("127.0.0.1", (*listener)->port());
+  EXPECT_TRUE(transport.ok());
+  auto accepted = (*listener)->Accept();
+  EXPECT_TRUE(accepted.ok());
   RpcConnection::Options options;
   options.loop = &server.loop;
   options.pool = &server.pool;
   auto served = RpcConnection::Start(&server.dispatcher,
                                      std::move(accepted).value(), RpcContext{},
                                      options);
-  ASSERT_TRUE(served.ok()) << served.status();
+  EXPECT_TRUE(served.ok()) << served.status();
+  out.served = std::move(served).value();
+  out.client = std::make_unique<RpcClient>(std::move(transport).value());
+  return out;
+}
 
-  RpcClient client(std::move(transport).value());
+// A blocking call with a deadline against a stalled server resolves
+// promptly with DEADLINE_EXCEEDED instead of blocking forever. It
+// withdraws its call, so the late reply is dropped as stale and the next
+// call gets its own reply.
+TEST(Overload, DeadlineCallFailsFastOnStalledServer) {
+  TieredServer server;
+  ServedClient conn = Serve(server);
+  RpcClient& client = *conn.client;
 
   // The handler parks on the cv: without a deadline this call would block
   // until the 10s handler guard, with one it resolves at ~150ms.
   auto start = std::chrono::steady_clock::now();
-  auto stalled = client.CallWithDeadline(1, TieredServer::kNamespace,
-                                         Bytes{1}, 150);
+  auto stalled = client.Call(1, TieredServer::kNamespace, Bytes{1}, 150);
   auto elapsed = std::chrono::steady_clock::now() - start;
   EXPECT_EQ(stalled.status().code(), StatusCode::kDeadlineExceeded);
   EXPECT_LT(elapsed, 5s) << "deadline did not cut the stalled call short";
+  EXPECT_EQ(client.inflight(), 0u);
 
   // The connection itself is still healthy: release the handler, and a
-  // fresh call completes normally.
+  // fresh call completes normally. The single worker answers the stalled
+  // call first, so its late reply reaches the client before this one's.
   server.Release();
-  EXPECT_TRUE(client.Call(1, TieredServer::kNamespace, Bytes{3}).ok());
+  auto next = client.Call(1, TieredServer::kNamespace, Bytes{3});
+  ASSERT_TRUE(next.ok()) << next.status();
+  EXPECT_EQ(*next, Bytes{3});
+  EXPECT_EQ(client.inflight(), 0u);
+  EXPECT_EQ(server.entered.load(), 2);
 
   client.Close();
-  ASSERT_TRUE(WaitFor([&] { return (*served)->closed(); }));
+  ASSERT_TRUE(WaitFor([&] { return conn.served->closed(); }));
+}
+
+// An async call's deadline rides only in the frame: a handler that
+// answers OK after the budget ran out, but was dequeued in time, leaves
+// that OK in the future. No client-side timer overrides the server.
+TEST(Overload, AsyncDeadlineKeepsTheServersLateAnswer) {
+  TieredServer server;
+  ServedClient conn = Serve(server);
+
+  auto late = conn.client->CallAsync(1, TieredServer::kNamespace, Bytes{7}, 50);
+  ASSERT_TRUE(WaitFor([&] { return server.entered.load() == 1; }));
+  std::this_thread::sleep_for(150ms);  // answers 150 ms after dequeue
+  server.Release();
+  ASSERT_EQ(late.wait_for(10s), std::future_status::ready);
+  Result<Bytes> reply = late.get();
+  ASSERT_TRUE(reply.ok()) << reply.status();
+  EXPECT_EQ(*reply, Bytes{7});
+  EXPECT_EQ(server.recorder.expired_total(), 0u);
+
+  conn.client->Close();
+  ASSERT_TRUE(WaitFor([&] { return conn.served->closed(); }));
+}
+
+size_t ThreadCount() {
+  return static_cast<size_t>(
+      std::distance(std::filesystem::directory_iterator("/proc/self/task"),
+                    std::filesystem::directory_iterator()));
+}
+
+// Calls with deadlines start no thread: the client keeps no timer.
+TEST(Overload, DeadlineCallsStartNoThread) {
+  TieredServer server;
+  server.Release();  // handlers answer at once
+  ServedClient conn = Serve(server);
+  ASSERT_TRUE(conn.client->Call(1, TieredServer::kNamespace, Bytes{0}).ok());
+
+  const size_t threads = ThreadCount();
+  for (uint8_t i = 0; i < 100; ++i) {
+    auto reply = conn.client->Call(1, TieredServer::kNamespace, Bytes{i},
+                                   /*deadline_ms=*/1000);
+    ASSERT_TRUE(reply.ok()) << reply.status();
+    EXPECT_EQ(*reply, Bytes{i});
+  }
+  EXPECT_EQ(ThreadCount(), threads);
+
+  conn.client->Close();
+  ASSERT_TRUE(WaitFor([&] { return conn.served->closed(); }));
 }
 
 std::shared_ptr<FfsVfs> MakeVfs() {

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation gate (CI: docs job).
 
-Four checks, stdlib only:
+Five checks, stdlib only:
 
 1. README coverage — every src/<subsystem> that defines a wire or
    on-disk format (any file includes src/wire/xdr.h or mentions
@@ -15,6 +15,11 @@ Four checks, stdlib only:
 4. Metric coverage — every "discfs_*" metric name registered in src/
    must appear in the "## Metric families" list of src/obs/README.md,
    and every name on that list must be registered.
+5. ROADMAP citations — every "ROADMAP item N" or "ROADMAP open item N"
+   in ARCHITECTURE.md, docs/*.md, the subsystem READMEs and
+   .claude/skills/**/*.md must name an item with a "### N." heading in
+   ROADMAP.md. CHANGES.md is history, and benchmark/ changes only with
+   the benchmark, so neither is checked.
 
 Exit non-zero with a per-finding list on any violation.
 
@@ -31,6 +36,8 @@ FORMAT_MARKERS = (re.compile(r'#include\s+"src/wire/xdr\.h"'),
                   re.compile(r"on-disk", re.IGNORECASE))
 METRIC_NAME_RE = re.compile(r'"(discfs_[a-z0-9_]+)"')
 LISTED_METRIC_RE = re.compile(r"^(discfs_[a-z0-9_]+)")
+CITATION_RE = re.compile(r"\bROADMAP\s+(?:open\s+)?item\s+(\d+)")
+ITEM_HEADING_RE = re.compile(r"^### (\d+)\.", re.MULTILINE)
 
 
 def find_format_bearing_subsystems(repo):
@@ -162,6 +169,36 @@ def check_metric_list(repo, errors):
                       "nothing in src/ registers")
 
 
+def citing_docs(repo):
+    """The docs whose ROADMAP citations must name a current item."""
+    docs = [doc for doc in doc_files(repo)
+            if os.path.basename(doc) != "ROADMAP.md"]
+    for root, _, files in os.walk(os.path.join(repo, ".claude", "skills")):
+        docs.extend(os.path.join(root, name) for name in sorted(files)
+                    if name.endswith(".md"))
+    return docs
+
+
+def check_roadmap_citations(repo, errors):
+    roadmap = os.path.join(repo, "ROADMAP.md")
+    if not os.path.isfile(roadmap):
+        errors.append("ROADMAP.md is missing")
+        return
+    with open(roadmap, encoding="utf-8") as f:
+        items = set(ITEM_HEADING_RE.findall(f.read()))
+    for doc in citing_docs(repo):
+        rel_doc = os.path.relpath(doc, repo)
+        with open(doc, encoding="utf-8") as f:
+            text = f.read()
+        for match in CITATION_RE.finditer(text):
+            if match.group(1) not in items:
+                line = text.count("\n", 0, match.start()) + 1
+                errors.append(
+                    f"{rel_doc}:{line}: cites ROADMAP item "
+                    f"{match.group(1)}, but ROADMAP.md has no "
+                    f"'### {match.group(1)}.' heading")
+
+
 def main(argv):
     repo = os.path.abspath(argv[1]) if len(argv) > 1 else os.path.abspath(
         os.path.join(os.path.dirname(__file__), ".."))
@@ -170,13 +207,14 @@ def main(argv):
     check_links(repo, errors)
     check_bench_sections(repo, errors)
     check_metric_list(repo, errors)
+    check_roadmap_citations(repo, errors)
     if errors:
         print("check_docs.py: FAIL")
         for error in errors:
             print(f"  - {error}")
         return 1
     print("check_docs.py: ok (readme coverage, links, bench sections, "
-          "metric list)")
+          "metric list, roadmap citations)")
     return 0
 
 
